@@ -13,10 +13,17 @@
  * the sweep. Dead workers are replaced as long as work remains —
  * never more replacements than there are unassigned cells — behind
  * exponential backoff with deterministic jitter, within a respawn
- * budget; when the pool is unrecoverable the remaining cells degrade
- * to in-process execution instead of erroring. Idle workers
- * speculatively re-run tail stragglers' cells (first result wins)
- * when configured.
+ * budget; when the pool is unrecoverable a driver::Runner drives the
+ * remaining cells in-process on the same scheduler instead of
+ * erroring them.
+ *
+ * The coordinator only manages processes: spawn, reap, backoff,
+ * heartbeat, timeout, poll and telemetry folding. Which cell a worker
+ * runs next, whether a result counts, when a lost cell is re-queued
+ * or failed, which straggler to duplicate (dispatch-speculate) and
+ * which cells to hint ahead (stream=1 "prefetch" frames) are the
+ * driver::CellScheduler's decisions, shared with the thread runner
+ * and the serve fleet.
  *
  * Workers share generated .stmt traces through the TraceCache spill
  * dir (a temp dir is provisioned when the spec has none), so each
@@ -97,21 +104,10 @@ struct DispatchConfig
     uint32_t backoffMs = 50;
 
     /**
-     * Re-dispatch a tail straggler's cell to an idle worker when its
-     * round trip exceeds 3x the median completed round trip (and a
-     * floor); the first result wins, the loser is discarded. At most
-     * one speculative copy per cell.
+     * Let idle workers claim a duplicate of a tail straggler (see
+     * driver::CellScheduler::claim); the first result wins.
      */
     bool speculate = false;
-
-    /**
-     * Worker-side lookahead pipelining (protocol v6): after assigning
-     * a cell, send the queue head as an advisory "prefetch" frame so
-     * the worker warms the next trace while the current cell
-     * simulates. Purely a latency optimization — results and report
-     * bytes are identical either way.
-     */
-    bool pipeline = false;
 };
 
 /**
@@ -147,7 +143,7 @@ class Coordinator
     /**
      * @param spec       experiment to run (cells=-filter honoured)
      * @param config     pool shape; config.workers is clamped to the
-     *                   cell count
+     *                   pending cell count at run()
      * @param transport  worker launcher; nullptr = local processes
      *                   running config.workerExe
      */
@@ -160,7 +156,8 @@ class Coordinator
     std::vector<driver::CellResult>
     run(const driver::ProgressFn &progress = {});
 
-    const std::vector<driver::RunCell> &cells() const { return cells_; }
+    /** Drive @p sched's pending cells to completion on the pool. */
+    void run(driver::CellScheduler &sched);
 
     /** Per-incarnation worker health stats from the last run(). */
     const std::vector<WorkerStats> &workerStats() const
@@ -177,7 +174,6 @@ class Coordinator
     driver::ExperimentSpec spec;
     DispatchConfig cfg;
     std::unique_ptr<Transport> transport;
-    std::vector<driver::RunCell> cells_;
     std::string ownedTraceDir;  //!< temp spill dir we created (cleaned)
     std::vector<WorkerStats> workerStats_;
     double wallMs_ = 0;
@@ -195,18 +191,6 @@ std::string selfExePath();
  */
 std::string telemetryJson(double wallMs,
                           const std::vector<WorkerStats> &workers);
-
-/**
- * Convenience wrapper for the CLI: dispatch @p spec across
- * spec.dispatch local workers with the spec's timeout/retry policy.
- * When @p statsOut is non-null it receives the per-worker health
- * stats (and the run's wall ms in the paired double).
- */
-std::vector<driver::CellResult>
-runDispatched(const driver::ExperimentSpec &spec,
-              const driver::ProgressFn &progress = {},
-              std::vector<WorkerStats> *statsOut = nullptr,
-              double *wallMsOut = nullptr);
 
 } // namespace stems::dispatch
 

@@ -226,7 +226,6 @@ encodeInit(const WorkerInit &init)
     j.endArray();
     j.key("trace").value(init.trace);
     j.key("heartbeat_ms").value(uint64_t{init.heartbeatMs});
-    j.key("pipeline").value(init.pipeline);
     j.endObject();
     return j.str();
 }
@@ -245,13 +244,9 @@ decodeInit(const JsonValue &msg)
     for (const auto &s : msg.at("oracle_regions").items)
         init.oracleRegionSizes.push_back(
             static_cast<uint32_t>(s.asU64()));
-    // v4/v5/v6 fields; optional so readers stay tolerant
-    if (const JsonValue *trace = msg.find("trace"))
-        init.trace = trace->asBool();
-    if (const JsonValue *hb = msg.find("heartbeat_ms"))
-        init.heartbeatMs = static_cast<uint32_t>(hb->asU64());
-    if (const JsonValue *pl = msg.find("pipeline"))
-        init.pipeline = pl->asBool();
+    init.trace = msg.at("trace").asBool();
+    init.heartbeatMs =
+        static_cast<uint32_t>(msg.at("heartbeat_ms").asU64());
     return init;
 }
 
@@ -361,9 +356,7 @@ decodeCellJob(const JsonValue &msg)
 uint32_t
 decodeCellAttempt(const JsonValue &msg)
 {
-    if (const JsonValue *attempt = msg.find("attempt"))
-        return static_cast<uint32_t>(attempt->asU64());
-    return 1;
+    return static_cast<uint32_t>(msg.at("attempt").asU64());
 }
 
 std::string
@@ -459,9 +452,7 @@ decodeResult(const JsonValue &msg)
         d.pfCounters.emplace_back(pair.items[0].asString(),
                                   pair.items[1].asU64());
     }
-    // v4 observability field; optional so readers stay tolerant
-    if (const JsonValue *t = msg.find("telemetry"))
-        out.telemetry = readTelemetry(*t);
+    out.telemetry = readTelemetry(msg.at("telemetry"));
     return out;
 }
 
@@ -510,17 +501,23 @@ FrameDecoder::next(std::string &out)
     return true;
 }
 
-bool
-writeFrame(int fd, const std::string &payload)
+std::string
+frameBytes(const std::string &payload)
 {
     std::string frame = std::to_string(payload.size());
     frame += '\n';
     frame += payload;
     frame += '\n';
+    return frame;
+}
+
+bool
+writeAll(int fd, const std::string &bytes)
+{
     size_t off = 0;
-    while (off < frame.size()) {
+    while (off < bytes.size()) {
         const ssize_t n =
-            ::write(fd, frame.data() + off, frame.size() - off);
+            ::write(fd, bytes.data() + off, bytes.size() - off);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -528,6 +525,15 @@ writeFrame(int fd, const std::string &payload)
         }
         off += static_cast<size_t>(n);
     }
+    return true;
+}
+
+bool
+writeFrame(int fd, const std::string &payload)
+{
+    const std::string frame = frameBytes(payload);
+    if (!writeAll(fd, frame))
+        return false;
     obs::count(&obs::Counters::wireBytesSent, frame.size());
     return true;
 }

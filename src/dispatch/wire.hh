@@ -25,20 +25,21 @@
  * values survive the round trip bit-exactly — the merged report must
  * be byte-identical to a single-process run.
  *
- * Since protocol v4, messages carry optional observability fields,
- * all read tolerantly (JsonValue::find), so readers ignore what they
- * don't know: init gains "trace" (enable the worker's span recorder)
- * and result gains "telemetry" — the worker's per-cell phase wall
- * times, a process counter snapshot, peak RSS, and (when tracing)
- * its buffered spans, which the coordinator re-tags with the worker
- * pid and merges into one machine-wide trace timeline.
+ * Init carries "trace" (enable the worker's span recorder) and result
+ * carries "telemetry" — the worker's per-cell phase wall times, a
+ * process counter snapshot, peak RSS, and (when tracing) its buffered
+ * spans, which the coordinator re-tags with the worker pid and merges
+ * into one machine-wide trace timeline.
  *
- * Since protocol v6, the coordinator may pipeline: after assigning a
- * cell it sends a "prefetch" frame naming the worker's likely next
- * cell, and the worker warms that cell's trace (CellExecutor::
- * prefetch on its StreamSet) on a background thread while the current
- * cell simulates. Prefetch is advisory — it never produces a result
- * frame and a worker that ignores it is still correct. The same
+ * With stream=1 the coordinator sends "prefetch" frames naming cells
+ * from the scheduler's lookahead, and the worker warms their traces
+ * on a driver::TracePrefetcher (started by the first hint) while the
+ * current cell simulates. Prefetch is advisory — it never produces a
+ * result frame and a worker that ignores it is still correct.
+ *
+ * Both ends run the same binary and the hello/init handshake demands
+ * an exact protocol match, so every field a message defines is
+ * required: a frame missing one is a protocol error. The same
  * protocol constant versions the serve-layer socket hello handshake
  * (src/serve/), so a pipe coordinator and a socket daemon can never
  * silently disagree about frame contents.
@@ -66,7 +67,7 @@
 namespace stems::dispatch {
 
 /** Wire protocol version; bumped on incompatible message changes. */
-constexpr uint32_t kProtocolVersion = 6;
+constexpr uint32_t kProtocolVersion = 7;
 
 /** Spec-global settings shipped to a worker before any cells. */
 struct WorkerInit
@@ -74,9 +75,8 @@ struct WorkerInit
     uint32_t protocol = kProtocolVersion;
     std::string traceDir;  //!< shared .stmt spill dir ("" = live gen)
     std::vector<uint32_t> oracleRegionSizes;
-    bool trace = false;    //!< enable the worker's span recorder (v4)
-    uint32_t heartbeatMs = 0;  //!< liveness frame period (v5; 0 = off)
-    bool pipeline = false; //!< expect lookahead prefetch frames (v6)
+    bool trace = false;    //!< enable the worker's span recorder
+    uint32_t heartbeatMs = 0;  //!< liveness frame period (0 = off)
 };
 
 // message payloads (each is one self-contained JSON document)
@@ -95,11 +95,11 @@ std::string encodeCellJob(const driver::RunCell &cell,
                           uint32_t attempt = 1);
 driver::RunCell decodeCellJob(const JsonValue &msg);
 
-/** The "attempt" field of a cell job (1 when absent). */
+/** The "attempt" field of a cell job. */
 uint32_t decodeCellAttempt(const JsonValue &msg);
 
 /**
- * Advisory lookahead hint (v6): the worker should warm @p cell's
+ * Advisory lookahead hint: the worker should warm @p cell's
  * trace in the background. Decoded with decodeCellJob (the "cell"
  * object layout is shared with cell jobs).
  */
@@ -139,8 +139,17 @@ class FrameDecoder
     size_t consumed = 0;
 };
 
+/** The raw bytes of one frame: `<len>\n<payload>\n`. */
+std::string frameBytes(const std::string &payload);
+
 /**
- * Write one frame, handling partial writes and EINTR.
+ * Write all of @p bytes, handling partial writes and EINTR.
+ * @return false when the peer is gone or the write fails.
+ */
+bool writeAll(int fd, const std::string &bytes);
+
+/**
+ * Write one frame (frameBytes + writeAll).
  * @return false when the peer is gone (EPIPE/closed fd).
  */
 bool writeFrame(int fd, const std::string &payload);

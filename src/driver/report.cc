@@ -298,7 +298,6 @@ toJson(const ExperimentSpec &spec, const std::vector<CellResult> &results)
     j.key("refs_per_cpu").value(spec.params.refsPerCpu);
     j.key("seed").value(spec.params.seed);
     j.key("timing").value(spec.timing);
-    j.key("threads").value(uint64_t{spec.threads});
     j.key("workloads").beginArray();
     for (const auto &w : spec.workloads)
         j.value(w);

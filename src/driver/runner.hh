@@ -1,29 +1,26 @@
 /**
  * @file
- * The thread-pooled sharded runner: expands an experiment spec into
- * cells and executes them in parallel through a shared CellExecutor
+ * The thread-pooled runner: expands an experiment spec into cells and
+ * executes them on N threads, each looping claim -> execute ->
+ * complete against a CellScheduler, through one shared CellExecutor
  * (each cell owns its MemorySystem — runs are embarrassingly
- * parallel). Multi-process execution of the same cells lives in
- * dispatch/coordinator.hh; both paths share the executor so results
- * are identical regardless of where a cell ran.
+ * parallel). With stream=1 the threads feed the scheduler's lookahead
+ * to a TracePrefetcher, so the next cells' traces are prepared while
+ * the current ones simulate. Multi-process execution of the same
+ * cells lives in dispatch/coordinator.hh; both share the executor, so
+ * results are identical regardless of where a cell ran.
  */
 
 #ifndef STEMS_DRIVER_RUNNER_HH
 #define STEMS_DRIVER_RUNNER_HH
 
-#include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "driver/executor.hh"
+#include "driver/scheduler.hh"
 #include "driver/spec.hh"
 
 namespace stems::driver {
-
-/** Called after each cell finishes (from worker threads, serialized). */
-using ProgressFn = std::function<void(const CellResult &, size_t done,
-                                      size_t total)>;
 
 /** Executes an experiment spec's cells across a thread pool. */
 class Runner
@@ -33,6 +30,9 @@ class Runner
 
     /** Run all cells; results ordered by cell id. */
     std::vector<CellResult> run(const ProgressFn &progress = {});
+
+    /** Drive @p sched's pending cells to completion on this pool. */
+    void run(CellScheduler &sched);
 
     /** The expanded (and cells=-filtered) cells, fixed at construction. */
     const std::vector<RunCell> &cells() const { return cells_; }

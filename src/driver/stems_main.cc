@@ -84,12 +84,12 @@ usage()
         "                               a unix:/path or host:port\n"
         "                               socket for workers= fleets\n"
         "  stems serve listen=ADDR [fleet=N max-active=N max-queue=N\n"
-        "              journal-dir=DIR trace-dir=DIR steal=0|1\n"
-        "              pipeline=0|1 trace-out= telemetry-out= quiet=1]\n"
+        "              journal-dir=DIR trace-dir=DIR trace-out=\n"
+        "              telemetry-out= quiet=1]\n"
         "                               persistent experiment service:\n"
         "                               warm caches shared across\n"
         "                               requests, admission queuing,\n"
-        "                               work stealing, per-request\n"
+        "                               trace prefetch, per-request\n"
         "                               journals for warm restart\n"
         "  stems submit server=ADDR [key=value ...]\n"
         "                               run a spec on a stems serve\n"

@@ -23,46 +23,54 @@
 
 namespace stems::obs {
 
+/**
+ * Every engine counter, declared once: X(member, "snapshot_name").
+ * The Counters fields, reset() and snapshotCounters() (whose order is
+ * the telemetry schema's) all expand from this list.
+ */
+#define STEMS_COUNTERS(X)                                             \
+    X(traceCacheHits, "trace_cache_hits")                             \
+    X(traceCacheMisses, "trace_cache_misses")                         \
+    X(traceSpillReplays, "trace_spill_replays")                       \
+    X(baselineMemoHits, "baseline_memo_hits")                         \
+    X(baselineMemoMisses, "baseline_memo_misses")                     \
+    X(timingMemoHits, "timing_memo_hits")                             \
+    X(timingMemoMisses, "timing_memo_misses")                         \
+    X(cellsExecuted, "cells_executed")                                \
+    X(dispatchRetries, "dispatch_retries")                            \
+    X(cellsRequeued, "cells_requeued")                                \
+    X(workerRespawns, "worker_respawns")                              \
+    X(wireBytesSent, "wire_bytes_sent")                               \
+    X(wireBytesReceived, "wire_bytes_received")                       \
+    /* fault tolerance: chaos injection, liveness, run durability */  \
+    /* and straggler mitigation */                                    \
+    X(faultsInjected, "faults_injected")                              \
+    X(heartbeatsMissed, "heartbeats_missed")                          \
+    X(journalCellsWritten, "journal_cells_written")                   \
+    X(journalCellsReplayed, "journal_cells_replayed")                 \
+    X(speculativeRedispatches, "speculative_redispatches")            \
+    X(degradedCells, "degraded_cells")                                \
+    /* streaming traces. Bytes mapped and spill replays stay */       \
+    /* slot-tied (deterministic); prefetch-ahead and stream stalls */ \
+    /* depend on scheduling and are only meaningful as rates. */      \
+    X(traceBytesMapped, "trace_bytes_mapped")                         \
+    X(tracePrefetchAhead, "trace_prefetch_ahead")                     \
+    X(streamStalls, "stream_stalls")                                  \
+    /* experiment service: admission-queue outcomes, warm-cache */    \
+    /* reuse across requests and the socket control channel */        \
+    X(serveRequestsAdmitted, "serve_requests_admitted")               \
+    X(serveRequestsQueued, "serve_requests_queued")                   \
+    X(serveRequestsRejected, "serve_requests_rejected")               \
+    X(serveCacheWarmHits, "serve_cache_warm_hits")                    \
+    X(socketBytesSent, "socket_bytes_sent")                           \
+    X(socketBytesReceived, "socket_bytes_received")
+
 /** The fixed set of engine counters. */
 struct Counters
 {
-    std::atomic<uint64_t> traceCacheHits{0};
-    std::atomic<uint64_t> traceCacheMisses{0};
-    std::atomic<uint64_t> traceSpillReplays{0};
-    std::atomic<uint64_t> baselineMemoHits{0};
-    std::atomic<uint64_t> baselineMemoMisses{0};
-    std::atomic<uint64_t> timingMemoHits{0};
-    std::atomic<uint64_t> timingMemoMisses{0};
-    std::atomic<uint64_t> cellsExecuted{0};
-    std::atomic<uint64_t> dispatchRetries{0};
-    std::atomic<uint64_t> cellsRequeued{0};
-    std::atomic<uint64_t> workerRespawns{0};
-    std::atomic<uint64_t> wireBytesSent{0};
-    std::atomic<uint64_t> wireBytesReceived{0};
-    // fault-tolerance families (PR 7): chaos injection, liveness,
-    // run durability and straggler mitigation
-    std::atomic<uint64_t> faultsInjected{0};
-    std::atomic<uint64_t> heartbeatsMissed{0};
-    std::atomic<uint64_t> journalCellsWritten{0};
-    std::atomic<uint64_t> journalCellsReplayed{0};
-    std::atomic<uint64_t> speculativeRedispatches{0};
-    std::atomic<uint64_t> degradedCells{0};
-    // streaming trace pipeline (PR 9). Bytes mapped and spill replays
-    // stay slot-tied (deterministic); prefetch-ahead and stream stalls
-    // depend on scheduling and are only meaningful as rates.
-    std::atomic<uint64_t> traceBytesMapped{0};
-    std::atomic<uint64_t> tracePrefetchAhead{0};
-    std::atomic<uint64_t> streamStalls{0};
-    // experiment-service families (PR 10): admission-queue outcomes,
-    // warm-cache reuse across requests, work stealing and the socket
-    // control channel
-    std::atomic<uint64_t> serveRequestsAdmitted{0};
-    std::atomic<uint64_t> serveRequestsQueued{0};
-    std::atomic<uint64_t> serveRequestsRejected{0};
-    std::atomic<uint64_t> serveCacheWarmHits{0};
-    std::atomic<uint64_t> cellsStolen{0};
-    std::atomic<uint64_t> socketBytesSent{0};
-    std::atomic<uint64_t> socketBytesReceived{0};
+#define STEMS_COUNTER_FIELD(member, name) std::atomic<uint64_t> member{0};
+    STEMS_COUNTERS(STEMS_COUNTER_FIELD)
+#undef STEMS_COUNTER_FIELD
 
     static Counters &get();
 

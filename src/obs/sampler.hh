@@ -31,9 +31,9 @@ namespace stems::obs {
 
 /**
  * Instantaneous scheduler state the sampler reads: unlike the
- * monotonic counters these move both ways. Writers (runner,
- * coordinator) store with relaxed ordering — a gauge is a statistical
- * signal, not a synchronization point.
+ * monotonic counters these move both ways. The writer
+ * (driver::CellScheduler) adjusts them with relaxed ordering — a gauge
+ * is a statistical signal, not a synchronization point.
  */
 struct Gauges
 {
@@ -43,7 +43,7 @@ struct Gauges
 
     static Gauges &get();
 
-    /** Zero every gauge (run start / tests). */
+    /** Zero every gauge (tests). */
     void reset();
 };
 

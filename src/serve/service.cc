@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include "dispatch/journal.hh"
-#include "driver/costmodel.hh"
 #include "driver/report.hh"
 #include "obs/counters.hh"
 #include "obs/obs.hh"
@@ -22,19 +21,10 @@ struct ExperimentService::Request
 {
     uint64_t id = 0;
     driver::ExperimentSpec spec;
-    std::vector<driver::RunCell> cells;
-    std::vector<size_t> order;    //!< schedule order (spec-driven)
-    size_t nextSlot = 0;          //!< first unclaimed schedule slot
-    std::vector<driver::CellResult> results;  //!< by expansion index
-    std::vector<char> claimed;    //!< by expansion index
-    std::vector<char> completed;
-    std::vector<char> stolenOnce; //!< at most one duplicate per cell
-    size_t done = 0;
-    uint64_t stolenCells = 0;
+    std::unique_ptr<driver::CellScheduler> sched;
     driver::CellExecutor *executor = nullptr;
 
-    dispatch::RunJournal journal;
-    std::mutex journalMu;         //!< serializes appends off the lock
+    dispatch::RunJournal journal;  //!< appended by the commit hook
     std::string journalFile;
     uint64_t replayed = 0;
 
@@ -70,10 +60,9 @@ ExperimentService::ExperimentService(Config config)
             n = 1;
     }
     cfg.fleet = n;
+    prefetcher.emplace();
     for (uint32_t k = 0; k < n; ++k)
         fleet.emplace_back([this, k] { fleetLoop(k); });
-    if (cfg.pipeline)
-        prefetcher = std::thread([this] { prefetchLoop(); });
 }
 
 ExperimentService::~ExperimentService()
@@ -124,71 +113,41 @@ ExperimentService::activateLocked()
             static_cast<double>(req->activatedNs - req->enqueuedNs) /
             1e6;
         obs::count(&obs::Counters::serveRequestsAdmitted);
+        const std::vector<driver::RunCell> &cells = req->sched->cells();
 
-        // warm restart: splice this spec's surviving journal before
+        // warm restart: preload this spec's surviving journal before
         // any cell is claimed (resume-style open creates the file
         // fresh when there is nothing to replay)
         if (!cfg.journalDir.empty()) {
-            const uint64_t fp = dispatch::specFingerprint(req->cells);
+            const uint64_t fp = dispatch::specFingerprint(cells);
             char hex[24];
             std::snprintf(hex, sizeof(hex), "%016llx",
                           static_cast<unsigned long long>(fp));
             req->journalFile =
                 cfg.journalDir + "/req-" + hex + ".journal";
             try {
-                req->journal.open(req->journalFile, fp,
-                                  req->cells.size(), true);
+                req->journal.open(req->journalFile, fp, cells.size(),
+                                  true);
             } catch (const std::exception &e) {
                 std::cerr << "stems serve: journal disabled for "
                              "request "
                           << req->id << ": " << e.what() << "\n";
             }
-            for (size_t i = 0; i < req->cells.size(); ++i) {
-                const auto it =
-                    req->journal.replayed().find(req->cells[i].id);
-                if (it == req->journal.replayed().end())
-                    continue;
-                driver::CellResult r;
-                r.cell = req->cells[i];
-                r.metrics = it->second.metrics;
-                r.telemetry = it->second.telemetry;
-                req->results[i] = std::move(r);
-                req->claimed[i] = 1;
-                req->completed[i] = 1;
-                ++req->done;
-                ++req->replayed;
-            }
+            req->replayed = req->sched->preload(req->journal.replayed());
         }
 
         // warm-cache visibility: cells whose trace is already built
         // (a prior request generated or mapped it) are warm hits
-        for (size_t i = 0; i < req->cells.size(); ++i)
-            if (!req->completed[i] &&
-                req->executor->prepared(req->cells[i]))
+        for (const driver::RunCell &cell : cells)
+            if (!req->journal.replayed().count(cell.id) &&
+                req->executor->prepared(cell))
                 obs::count(&obs::Counters::serveCacheWarmHits);
 
         active.push_back(std::move(req));
+        // a queued submitter waits for activeNow (and, when the
+        // journal held every cell, already for finished())
+        stateCv.notify_all();
     }
-}
-
-bool
-ExperimentService::claimableLocked() const
-{
-    for (const auto &req : active) {
-        size_t slot = req->nextSlot;
-        while (slot < req->order.size() &&
-               req->claimed[req->order[slot]])
-            ++slot;
-        if (slot < req->order.size())
-            return true;
-    }
-    if (cfg.steal)
-        for (const auto &req : active)
-            for (size_t i = 0; i < req->cells.size(); ++i)
-                if (req->claimed[i] && !req->completed[i] &&
-                    !req->stolenOnce[i])
-                    return true;
-    return false;
 }
 
 void
@@ -196,143 +155,39 @@ ExperimentService::fleetLoop(uint32_t index)
 {
     obs::setThreadName("serve-" + std::to_string(index));
     std::unique_lock<std::mutex> lk(mu);
-    for (;;) {
-        workCv.wait(lk, [this] {
-            return stopping || claimableLocked();
-        });
-        if (stopping)
-            return;
-
-        // claim the first unclaimed cell (schedule order) of the
-        // earliest-admitted active request
+    while (!stopping) {
+        // the first unclaimed cell of the earliest-admitted request
+        // that has one
         std::shared_ptr<Request> req;
-        size_t idx = 0;
-        bool isStolen = false;
-        for (const auto &r : active) {
-            while (r->nextSlot < r->order.size() &&
-                   r->claimed[r->order[r->nextSlot]])
-                ++r->nextSlot;
-            if (r->nextSlot < r->order.size()) {
+        std::optional<driver::CellScheduler::Claim> claim;
+        for (const auto &r : active)
+            if ((claim = r->sched->claim())) {
                 req = r;
-                idx = r->order[r->nextSlot];
-                ++r->nextSlot;
                 break;
             }
+        if (!claim) {
+            workCv.wait(lk);
+            continue;
         }
-        if (!req && cfg.steal) {
-            // nothing unclaimed anywhere: duplicate a straggler from
-            // the in-flight request with the most work remaining
-            // (its tail is the service's critical path)
-            std::shared_ptr<Request> victim;
-            size_t remaining = 0;
-            for (const auto &r : active) {
-                const size_t rem = r->cells.size() - r->done;
-                bool stealable = false;
-                for (size_t i = 0; i < r->cells.size(); ++i)
-                    if (r->claimed[i] && !r->completed[i] &&
-                        !r->stolenOnce[i]) {
-                        stealable = true;
-                        break;
-                    }
-                if (stealable && rem > remaining) {
-                    victim = r;
-                    remaining = rem;
-                }
-            }
-            if (victim) {
-                for (size_t k = 0; k < victim->order.size(); ++k) {
-                    const size_t i = victim->order[k];
-                    if (victim->claimed[i] && !victim->completed[i] &&
-                        !victim->stolenOnce[i]) {
-                        req = victim;
-                        idx = i;
-                        isStolen = true;
-                        victim->stolenOnce[i] = 1;
-                        ++victim->stolenCells;
-                        obs::count(&obs::Counters::cellsStolen);
-                        break;
-                    }
-                }
-            }
-        }
-        if (!req)
-            continue;  // raced another thread; re-evaluate
-        if (!isStolen)
-            req->claimed[idx] = 1;
-
-        // pipeline hint: the request's next unclaimed cell warms in
-        // the background while this one simulates
-        if (cfg.pipeline) {
-            size_t slot = req->nextSlot;
-            while (slot < req->order.size() &&
-                   req->claimed[req->order[slot]])
-                ++slot;
-            if (slot < req->order.size()) {
-                std::lock_guard<std::mutex> plk(prefetchMu);
-                if (prefetchQueue.size() < 8)
-                    prefetchQueue.emplace_back(
-                        req->executor, req->cells[req->order[slot]]);
-                prefetchCv.notify_one();
-            }
-        }
+        for (size_t i : req->sched->lookahead())
+            prefetcher->hint(*req->executor, req->sched->cells()[i]);
 
         lk.unlock();
         driver::CellResult result;
         {
-            const driver::RunCell &cell = req->cells[idx];
-            obs::Span span(
-                isStolen ? "steal" : "serve_cell",
-                {{"request", std::to_string(req->id)},
-                 {"cell", std::to_string(cell.id)},
-                 {"workload", cell.workload},
-                 {"engine", cell.engine.kind}});
+            const driver::RunCell &cell = req->sched->cells()[claim->cell];
+            obs::Span span("serve_cell",
+                           {{"request", std::to_string(req->id)},
+                            {"cell", std::to_string(cell.id)},
+                            {"workload", cell.workload},
+                            {"engine", cell.engine.kind}});
             result = req->executor->execute(cell);
         }
+        // commits and journals outside the service lock
+        req->sched->complete(*claim, std::move(result));
         lk.lock();
-
-        // first result wins — the executor is deterministic, so when
-        // a stolen copy loses the race nothing observable changes
-        if (!req->completed[idx]) {
-            req->completed[idx] = 1;
-            req->results[idx] = std::move(result);
-            const bool needAppend = req->journal.isOpen();
-            if (needAppend) {
-                // append outside the service lock; completed slots
-                // are never rewritten, so reading results[idx]
-                // unlocked is safe
-                lk.unlock();
-                {
-                    std::lock_guard<std::mutex> jlk(req->journalMu);
-                    req->journal.append(req->results[idx]);
-                }
-                lk.lock();
-            }
-            ++req->done;
-            if (req->done == req->cells.size())
-                stateCv.notify_all();
-            workCv.notify_all();  // the steal frontier moved
-        }
-    }
-}
-
-void
-ExperimentService::prefetchLoop()
-{
-    obs::setThreadName("serve-prefetch");
-    std::unique_lock<std::mutex> lk(prefetchMu);
-    for (;;) {
-        prefetchCv.wait(lk, [this] {
-            return stopping || !prefetchQueue.empty();
-        });
-        if (stopping && prefetchQueue.empty())
-            return;
-        auto [executor, cell] = std::move(prefetchQueue.front());
-        prefetchQueue.pop_front();
-        lk.unlock();
-        executor->prefetch(cell);
-        lk.lock();
-        if (stopping)
-            return;
+        if (req->sched->finished())
+            stateCv.notify_all();
     }
 }
 
@@ -351,22 +206,19 @@ ExperimentService::submit(
         if (req->spec.jsonPath.empty() && req->spec.csvPath.empty() &&
             !req->spec.table)
             req->spec.jsonPath = "-";
-        req->cells = driver::selectedCells(req->spec);
-        req->order = driver::scheduleOrder(req->spec, req->cells);
+        Request *r = req.get();
+        req->sched = std::make_unique<driver::CellScheduler>(
+            req->spec, driver::ProgressFn{},
+            [r](const driver::CellResult &res) {
+                r->journal.append(res);
+            });
+        if (req->sched->cells().empty())
+            throw std::invalid_argument("spec selects no cells");
     } catch (const std::exception &e) {
         out.status = Outcome::Status::Error;
         out.reason = e.what();
         return out;
     }
-    if (req->cells.empty()) {
-        out.status = Outcome::Status::Error;
-        out.reason = "spec selects no cells";
-        return out;
-    }
-    req->results.resize(req->cells.size());
-    req->claimed.assign(req->cells.size(), 0);
-    req->completed.assign(req->cells.size(), 0);
-    req->stolenOnce.assign(req->cells.size(), 0);
 
     {
         std::unique_lock<std::mutex> lk(mu);
@@ -405,8 +257,7 @@ ExperimentService::submit(
             lk.lock();
         }
         stateCv.wait(lk, [&] {
-            return req->done == req->cells.size() ||
-                   !req->failure.empty();
+            return req->sched->finished() || !req->failure.empty();
         });
         if (!req->failure.empty()) {
             out.status = Outcome::Status::Error;
@@ -420,6 +271,8 @@ ExperimentService::submit(
         activateLocked();
         workCv.notify_all();
     }
+    const std::vector<driver::CellResult> results =
+        req->sched->results();
 
     // the request span covers activation → completion; queue_ms is
     // the admission wait (stems analyze attributes both)
@@ -431,8 +284,7 @@ ExperimentService::submit(
         e.durNs = obs::monotonicNs() - req->activatedNs;
         e.args = {{"request", std::to_string(req->id)},
                   {"queue_ms", std::to_string(req->queueMs)},
-                  {"cells", std::to_string(req->cells.size())},
-                  {"stolen", std::to_string(req->stolenCells)},
+                  {"cells", std::to_string(results.size())},
                   {"replayed", std::to_string(req->replayed)}};
         obs::Recorder::get().record(std::move(e));
     }
@@ -448,18 +300,17 @@ ExperimentService::submit(
     out.status = Outcome::Status::Done;
     out.id = req->id;
     out.replayed = req->replayed;
-    out.stolen = req->stolenCells;
-    for (const auto &r : req->results)
+    for (const auto &r : results)
         if (!r.error.empty())
             ++out.failed;
     // the same sinks stems run would write, built from the same spec
     // and the same ordered results — byte-identity by construction
     if (!req->spec.jsonPath.empty())
-        out.json = driver::toJson(req->spec, req->results);
+        out.json = driver::toJson(req->spec, results);
     if (!req->spec.csvPath.empty())
-        out.csv = driver::toCsv(req->spec, req->results);
+        out.csv = driver::toCsv(req->spec, results);
     if (req->spec.table)
-        out.table = driver::toTable(req->spec, req->results);
+        out.table = driver::toTable(req->spec, results);
     return out;
 }
 
@@ -479,15 +330,11 @@ ExperimentService::stop()
     }
     workCv.notify_all();
     stateCv.notify_all();
-    {
-        std::lock_guard<std::mutex> plk(prefetchMu);
-        prefetchCv.notify_all();
-    }
     for (auto &t : fleet)
         t.join();
     fleet.clear();
-    if (prefetcher.joinable())
-        prefetcher.join();
+    // before the destructor removes the spill dir it may write into
+    prefetcher.reset();
 }
 
 } // namespace stems::serve

@@ -192,23 +192,10 @@ connectTo(const std::string &addr, uint32_t deadlineMs)
 bool
 sendFrame(int fd, const std::string &payload)
 {
-    std::string frame = std::to_string(payload.size());
-    frame += '\n';
-    frame += payload;
-    frame += '\n';
-    size_t off = 0;
-    while (off < frame.size()) {
-        const ssize_t n =
-            ::write(fd, frame.data() + off, frame.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        off += static_cast<size_t>(n);
-        obs::count(&obs::Counters::socketBytesSent,
-                   static_cast<uint64_t>(n));
-    }
+    const std::string frame = dispatch::frameBytes(payload);
+    if (!dispatch::writeAll(fd, frame))
+        return false;
+    obs::count(&obs::Counters::socketBytesSent, frame.size());
     return true;
 }
 

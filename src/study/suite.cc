@@ -93,7 +93,7 @@ TraceCache::viewSetImpl(const std::string &name,
         ran = true;
         // the miss is counted inside the once so it stays slot-tied
         // (exactly one per distinct key) no matter which caller — a
-        // consumer or the background streamer — gets here first
+        // consumer or the trace prefetcher — gets here first
         obs::count(&obs::Counters::traceCacheMisses);
         const uint64_t hash = generatorConfigHash(name, p);
         const std::string file = spillDir.empty()
@@ -166,8 +166,8 @@ TraceCache::viewSetImpl(const std::string &name,
         s.prepared.store(true, std::memory_order_release);
     });
     // hits for every later lookup — deterministic across thread
-    // counts; prepare() passes count_lookup=false so the background
-    // streamer never perturbs the hit count
+    // counts; prepare() passes count_lookup=false so the trace
+    // prefetcher never perturbs the hit count
     if (count_lookup && !ran)
         obs::count(&obs::Counters::traceCacheHits);
     return s.set;

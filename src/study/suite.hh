@@ -88,8 +88,8 @@ class TraceCache
 
     /**
      * Build (generate-or-replay) the set for @p name ahead of its
-     * consumer, without counting a cache lookup — the background
-     * streamer's entry. Safe to race with viewSet().
+     * consumer, without counting a cache lookup — the trace
+     * prefetcher's entry. Safe to race with viewSet().
      */
     void prepare(const std::string &name,
                  const workloads::WorkloadParams &p);

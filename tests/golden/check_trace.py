@@ -181,7 +181,7 @@ def check_analyze(path, serve):
             fail(f"{path}: serve trace but no serve section")
         for r in requests:
             for key in ("request", "queue_ms", "wall_ms", "exec_ms",
-                        "cells", "stolen", "replayed"):
+                        "cells", "replayed"):
                 if key not in r:
                     fail(f"{path}: serve row missing {key}: {r}")
             if not r["cells"] > 0 or \

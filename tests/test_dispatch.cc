@@ -348,6 +348,20 @@ TEST(Dispatch, Fig11CellsByteIdenticalToInProcess)
     const std::string dispatched = dispatchedJson(spec, 4);
     EXPECT_EQ(inproc, dispatched);
     EXPECT_EQ(inproc.find("\"error\""), std::string::npos);
+
+    // whole reports, spec header included, each rendered from the spec
+    // that ran it: execution policy never reaches the report bytes
+    auto tokens = fig11Tokens();
+    tokens.push_back("threads=1");
+    const std::string one = inProcessJson(parseSpec(tokens));
+    tokens.back() = "threads=4";
+    const std::string four = inProcessJson(parseSpec(tokens));
+    tokens.back() = "dispatch=2";
+    ExperimentSpec two = parseSpec(tokens);
+    two.dispatchWorkerExe = stemsBinary();
+    EXPECT_EQ(inproc, one);
+    EXPECT_EQ(inproc, four);
+    EXPECT_EQ(inproc, toJson(two, runSpec(two)));
 }
 
 TEST(Dispatch, AblCellsByteIdenticalToInProcess)
@@ -413,15 +427,16 @@ TEST(Dispatch, WorkerKillMidRunRecoversByteIdentically)
          "refs=2000", "seed=13", "wall=0"});
     const std::string inproc = inProcessJson(spec);
 
-    // cell 2 kills its first worker mid-run; the marker file makes
-    // the re-queued attempt on another worker run clean
-    const std::string marker = tempPath("crash_marker");
-    std::filesystem::remove(marker);
-    ScopedEnv crash("STEMS_DISPATCH_CRASH", "2:" + marker);
+    // cell 2 kills its first worker mid-run; the clause fires on the
+    // first attempt only, so the re-queued attempt runs clean
+    obs::Counters::get().reset();
+    ScopedEnv crash("STEMS_FAULTS", "crash=cell:2");
     const std::string dispatched = dispatchedJson(spec, 3);
     EXPECT_EQ(inproc, dispatched);
-    EXPECT_TRUE(std::filesystem::exists(marker));  // hook actually fired
-    std::filesystem::remove(marker);
+    // the crash really fired: exactly one re-queue
+    EXPECT_EQ(counterValue(obs::snapshotCounters(), "cells_requeued"),
+              1u);
+    obs::Counters::get().reset();
 }
 
 TEST(Dispatch, RetryCapRecordsCellErrorNotCrash)
@@ -429,8 +444,8 @@ TEST(Dispatch, RetryCapRecordsCellErrorNotCrash)
     ExperimentSpec spec = parseSpec(
         {"workloads=sparse", "prefetchers=sms,none", "ncpu=4",
          "refs=1500", "wall=0", "dispatch-retries=2"});
-    // no marker: cell 0 crashes its worker on every attempt
-    ScopedEnv crash("STEMS_DISPATCH_CRASH", "0");
+    // cell 0 crashes its worker on every attempt
+    ScopedEnv crash("STEMS_FAULTS", "crash=cell:0:always");
     DispatchConfig cfg = localConfig(2);
     cfg.maxAttempts = 2;
     Coordinator coord(spec, cfg);
@@ -451,18 +466,18 @@ TEST(Dispatch, CellTimeoutRequeuesToAnotherWorker)
          "refs=1500", "seed=5", "wall=0"});
     const std::string inproc = inProcessJson(spec);
 
-    const std::string marker = tempPath("sleep_marker");
-    std::filesystem::remove(marker);
     // cell 0 stalls 30 s on its first attempt; the 700 ms per-cell
     // timeout kills that worker and the retry completes promptly
-    ScopedEnv stall("STEMS_DISPATCH_SLEEP", "0:30000:" + marker);
+    obs::Counters::get().reset();
+    ScopedEnv stall("STEMS_FAULTS", "hang=cell:0/30000");
     DispatchConfig cfg = localConfig(2);
     cfg.timeoutMs = 700;
     Coordinator coord(spec, cfg);
     const std::string dispatched = toJson(spec, coord.run());
     EXPECT_EQ(inproc, dispatched);
-    EXPECT_TRUE(std::filesystem::exists(marker));
-    std::filesystem::remove(marker);
+    EXPECT_EQ(counterValue(obs::snapshotCounters(), "cells_requeued"),
+              1u);
+    obs::Counters::get().reset();
 }
 
 // ---------------------------------------------------------------------
@@ -695,6 +710,32 @@ TEST(DispatchWireHardening, RejectsMalformedU64Fields)
         EXPECT_THROW(decodeResult(parseJson(payload)), std::exception)
             << bad;
     }
+}
+
+TEST(DispatchWireHardening, RejectsFramesMissingRequiredFields)
+{
+    // both ends run one binary under an exact protocol match, so a
+    // field the message defines is required, never defaulted
+    // drop the frame's last member, @p key
+    auto without = [](const std::string &frame, const std::string &key) {
+        const auto pos = frame.find(",\"" + key + "\"");
+        EXPECT_NE(pos, std::string::npos) << key;
+        return frame.substr(0, pos) + frame.substr(frame.rfind('}'));
+    };
+
+    WorkerInit init;
+    init.heartbeatMs = 250;
+    EXPECT_EQ(decodeInit(parseJson(encodeInit(init))).heartbeatMs, 250u);
+    EXPECT_THROW(
+        decodeInit(parseJson(without(encodeInit(init), "heartbeat_ms"))),
+        std::invalid_argument);
+
+    CellResult result;
+    result.cell.id = 3;
+    EXPECT_EQ(decodeResult(parseJson(encodeResult(result))).cell.id, 3u);
+    EXPECT_THROW(
+        decodeResult(parseJson(without(encodeResult(result), "telemetry"))),
+        std::invalid_argument);
 }
 
 TEST(DispatchWireHardening, FrameDecoderCapsFrameSize)

@@ -201,21 +201,26 @@ TEST(FaultFire, FiringBumpsTheCounter)
 }
 
 // ---------------------------------------------------------------------
-// legacy hook mapping
+// STEMS_FAULTS plans installed from the environment
 // ---------------------------------------------------------------------
 
 TEST(FaultLegacy, CrashHookFoldsIntoClause)
 {
-    ScopedEnv crash("STEMS_DISPATCH_CRASH", "3");
+    // a cell-targeted crash on every attempt defeats retries
+    ScopedEnv crash("STEMS_FAULTS", "crash=cell:3:always");
     installFromEnv();
     ASSERT_TRUE(active());
     setCellContext(3, 1);
     EXPECT_NE(cellFault(Kind::Crash), nullptr);
-    // marker-less legacy hooks fire on every attempt (the old
-    // semantics RetryCapRecordsCellErrorNotCrash depends on)
     setCellContext(3, 2);
     EXPECT_NE(cellFault(Kind::Crash), nullptr);
     setCellContext(4, 1);
+    EXPECT_EQ(cellFault(Kind::Crash), nullptr);
+    // without :always it fires once: the retry runs clean
+    installPlan(parsePlan("crash=cell:3"));
+    setCellContext(3, 1);
+    EXPECT_NE(cellFault(Kind::Crash), nullptr);
+    setCellContext(3, 2);
     EXPECT_EQ(cellFault(Kind::Crash), nullptr);
     installPlan(Plan{});
     clearCellContext();
@@ -223,7 +228,7 @@ TEST(FaultLegacy, CrashHookFoldsIntoClause)
 
 TEST(FaultLegacy, SleepHookCarriesDuration)
 {
-    ScopedEnv stall("STEMS_DISPATCH_SLEEP", "2:1500");
+    ScopedEnv stall("STEMS_FAULTS", "hang=cell:2/1500");
     installFromEnv();
     setCellContext(2, 1);
     const Clause *c = cellFault(Kind::Hang);
@@ -235,8 +240,7 @@ TEST(FaultLegacy, SleepHookCarriesDuration)
 
 TEST(FaultLegacy, EnvPlanAndHooksCompose)
 {
-    ScopedEnv plan("STEMS_FAULTS", "seed=9,garbage=cell:1");
-    ScopedEnv crash("STEMS_DISPATCH_CRASH", "2");
+    ScopedEnv plan("STEMS_FAULTS", "seed=9,garbage=cell:1,crash=cell:2");
     installFromEnv();
     setCellContext(1, 1);
     EXPECT_NE(cellFault(Kind::Garbage), nullptr);

@@ -323,7 +323,7 @@ TEST(ObsTelemetry, CellResultsCarryPhaseTimings)
 }
 
 // ---------------------------------------------------------------------
-// wire telemetry (protocol v4)
+// wire telemetry
 // ---------------------------------------------------------------------
 
 TEST(ObsWire, TelemetryRoundTripsThroughResultFrames)
@@ -358,24 +358,6 @@ TEST(ObsWire, TelemetryRoundTripsThroughResultFrames)
     EXPECT_EQ(back.telemetry.spans[0].durNs, 250u);
     EXPECT_EQ(back.telemetry.spans[0].tid, 2u);
     ASSERT_EQ(back.telemetry.spans[0].args.size(), 1u);
-}
-
-TEST(ObsWire, ResultWithoutTelemetryFieldStillDecodes)
-{
-    // Old (protocol v3) writers omit the field entirely; v4 readers
-    // must tolerate that.
-    CellResult result;
-    result.cell.id = 3;
-    std::string frame = dispatch::encodeResult(result);
-    const auto pos = frame.find(",\"telemetry\"");
-    ASSERT_NE(pos, std::string::npos);
-    const auto end = frame.rfind('}');
-    frame = frame.substr(0, pos) + frame.substr(end);
-    const CellResult back =
-        dispatch::decodeResult(dispatch::parseJson(frame));
-    EXPECT_EQ(back.cell.id, 3u);
-    EXPECT_TRUE(back.telemetry.phases.empty());
-    EXPECT_TRUE(back.telemetry.spans.empty());
 }
 
 // ---------------------------------------------------------------------

@@ -3,11 +3,11 @@
  * Experiment-service tests: the versioned hello handshake (round
  * trip, protocol mismatch, oversized and corrupt frames), the
  * ExperimentService producing reports byte-identical to the
- * in-process runner (cold, warm-cache, stolen-cell and concurrent
- * submissions), admission-queue overflow rejection, daemon SIGKILL +
- * warm-restart through the per-request journal, the socket dispatch
- * transport (machine list + spawn template, fault recovery,
- * pipelined workers), and the analyze "serve" section.
+ * in-process runner (cold, warm-cache and concurrent submissions),
+ * admission-queue overflow rejection, daemon SIGKILL + warm-restart
+ * through the per-request journal, the socket dispatch transport
+ * (machine list + spawn template, fault recovery, lookahead hints),
+ * and the analyze "serve" section.
  */
 
 #include <gtest/gtest.h>
@@ -257,33 +257,6 @@ TEST(ServeService, ColdAndWarmSubmitsMatchRunByteIdentically)
     EXPECT_EQ(counterValue(obs::snapshotCounters(),
                            "serve_requests_admitted"),
               2u);
-    obs::Counters::get().reset();
-}
-
-TEST(ServeService, StolenCellsKeepReportByteIdentical)
-{
-    const std::string expected =
-        inProcessJson(parseSpec(smallTokens()));
-
-    // 2 cells on an 8-thread fleet: the six idle threads have nothing
-    // unclaimed to do and must steal the in-flight cells (at most one
-    // duplicate each); first result wins and the executor is
-    // deterministic, so the report cannot change
-    obs::Counters::get().reset();
-    uint64_t stolen = 0;
-    for (int attempt = 0; attempt < 3 && stolen == 0; ++attempt) {
-        ExperimentService::Config cfg;
-        cfg.fleet = 8;
-        ExperimentService svc(cfg);
-        const auto out = svc.submit(smallTokens());
-        ASSERT_EQ(out.status,
-                  ExperimentService::Outcome::Status::Done);
-        EXPECT_EQ(out.json, expected);
-        stolen = out.stolen;
-    }
-    EXPECT_GT(stolen, 0u);
-    EXPECT_GT(counterValue(obs::snapshotCounters(), "cells_stolen"),
-              0u);
     obs::Counters::get().reset();
 }
 
@@ -542,7 +515,7 @@ TEST(ServeTransport, PipelinedDispatchMatchesInProcess)
     const std::string expected = inProcessJson(parseSpec(tokens));
 
     tokens.push_back("dispatch=2");
-    tokens.push_back("dispatch-pipeline=1");
+    tokens.push_back("stream=1");
     ExperimentSpec spec = parseSpec(tokens);
     spec.dispatchWorkerExe = stemsBinary();
     const std::string dispatched =
@@ -571,8 +544,8 @@ const char *kServeTrace = R"({"displayTimeUnit":"ms","traceEvents":[
 {"name":"baseline_pass","ph":"X","ts":500,"dur":100,"pid":1,"tid":1,"args":{}},
 {"name":"serve_cell","ph":"X","ts":700,"dur":4000,"pid":1,"tid":1,"args":{"request":"1","cell":"0","workload":"sparse","engine":"sms"}},
 {"name":"serve_cell","ph":"X","ts":4700,"dur":3000,"pid":1,"tid":1,"args":{"request":"1","cell":"1","workload":"graph","engine":"sms"}},
-{"name":"steal","ph":"X","ts":5000,"dur":2000,"pid":1,"tid":2,"args":{"request":"1","cell":"1","workload":"graph","engine":"sms"}},
-{"name":"serve_request","ph":"X","ts":0,"dur":8000,"pid":1,"tid":9,"args":{"request":"1","queue_ms":"2.500000","cells":"2","stolen":"1","replayed":"0"}}
+{"name":"serve_cell","ph":"X","ts":5000,"dur":2000,"pid":1,"tid":2,"args":{"request":"1","cell":"2","workload":"graph","engine":"none"}},
+{"name":"serve_request","ph":"X","ts":0,"dur":8000,"pid":1,"tid":9,"args":{"request":"1","queue_ms":"2.500000","cells":"3","replayed":"0"}}
 ]})";
 
 } // anonymous namespace
@@ -592,10 +565,10 @@ TEST(ServeAnalyze, JsonSchemaTwoCarriesServeSection)
     EXPECT_EQ(r.at("request").asU64(), 1u);
     EXPECT_DOUBLE_EQ(r.at("queue_ms").asDouble(), 2.5);
     EXPECT_DOUBLE_EQ(r.at("wall_ms").asDouble(), 8.0);
-    // exec attribution sums serve_cell AND steal spans per request
+    // exec attribution sums the request's serve_cell spans across
+    // fleet threads
     EXPECT_DOUBLE_EQ(r.at("exec_ms").asDouble(), 9.0);
-    EXPECT_EQ(r.at("cells").asU64(), 2u);
-    EXPECT_EQ(r.at("stolen").asU64(), 1u);
+    EXPECT_EQ(r.at("cells").asU64(), 3u);
     EXPECT_EQ(r.at("replayed").asU64(), 0u);
 
     // fleet threads become utilization lanes in a serve trace

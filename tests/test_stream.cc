@@ -417,7 +417,7 @@ streamTokens(const std::string &dir)
 {
     return {"workloads=sparse,graph", "prefetchers=sms,ghb",
             "ncpu=4",  "refs=3000", "seed=7", "wall=0",
-            "stream=1", "stream-ahead=3", "trace-dir=" + dir};
+            "stream=1", "trace-dir=" + dir};
 }
 
 } // anonymous namespace

@@ -133,8 +133,8 @@ l1ConfigFor(const RunCell &cell)
         lcfg.ds.dataAssoc = cell.sys.l1.assoc;
         lcfg.ds.blockSize = cell.sys.l1.blockSize;
         lcfg.ds.sectorSize = lcfg.sms.geometry.regionSize();
-        lcfg.ds.tagMult = static_cast<uint32_t>(
-            optU64(cell.engine.options, "ds-tag-mult", lcfg.ds.tagMult));
+        lcfg.ds.tagMult =
+            optU32(cell.engine.options, "ds-tag-mult", lcfg.ds.tagMult);
     } else {
         throw std::invalid_argument("trainer=" + trainer +
                                     ": expected agt|ls|ds");

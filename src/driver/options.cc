@@ -43,6 +43,15 @@ optU64(const Options &o, const std::string &key, uint64_t def)
     }
 }
 
+uint32_t
+optU32(const Options &o, const std::string &key, uint32_t def)
+{
+    const uint64_t v = optU64(o, key, def);
+    if (v > UINT32_MAX)
+        badValue(key, o.at(key), "an unsigned 32-bit integer");
+    return static_cast<uint32_t>(v);
+}
+
 double
 optDouble(const Options &o, const std::string &key, double def)
 {

@@ -21,6 +21,9 @@ using Options = std::map<std::string, std::string>;
 /** Unsigned option with default; throws std::invalid_argument. */
 uint64_t optU64(const Options &o, const std::string &key, uint64_t def);
 
+/** optU64 for 32-bit settings; also throws above UINT32_MAX. */
+uint32_t optU32(const Options &o, const std::string &key, uint32_t def);
+
 /** Floating-point option with default. */
 double optDouble(const Options &o, const std::string &key, double def);
 

@@ -109,16 +109,12 @@ core::SmsConfig
 smsConfigFromOptions(const Options &o)
 {
     core::SmsConfig cfg;
-    cfg.geometry = core::RegionGeometry(
-        static_cast<uint32_t>(optU64(o, "region", 2048)),
-        static_cast<uint32_t>(optU64(o, "block", 64)));
-    cfg.agt.filterEntries =
-        static_cast<uint32_t>(optU64(o, "agt-filter", 32));
-    cfg.agt.accumEntries =
-        static_cast<uint32_t>(optU64(o, "agt-accum", 64));
-    cfg.pht.entries =
-        static_cast<uint32_t>(optU64(o, "pht-entries", 16384));
-    cfg.pht.assoc = static_cast<uint32_t>(optU64(o, "pht-assoc", 16));
+    cfg.geometry = core::RegionGeometry(optU32(o, "region", 2048),
+                                        optU32(o, "block", 64));
+    cfg.agt.filterEntries = optU32(o, "agt-filter", 32);
+    cfg.agt.accumEntries = optU32(o, "agt-accum", 64);
+    cfg.pht.entries = optU32(o, "pht-entries", 16384);
+    cfg.pht.assoc = optU32(o, "pht-assoc", 16);
 
     const std::string update = optStr(o, "pht-update", "replace");
     if (update == "replace") {
@@ -144,8 +140,7 @@ smsConfigFromOptions(const Options &o)
             "index=" + index + ": expected pc+off|pc|addr|pc+addr");
     }
 
-    cfg.predictionRegisters =
-        static_cast<uint32_t>(optU64(o, "pred-regs", 16));
+    cfg.predictionRegisters = optU32(o, "pred-regs", 16);
     cfg.intoL1 = optBool(o, "into-l1", true);
     return cfg;
 }
@@ -154,15 +149,11 @@ prefetch::GhbConfig
 ghbConfigFromOptions(const Options &o)
 {
     prefetch::GhbConfig cfg;
-    cfg.ghbEntries =
-        static_cast<uint32_t>(optU64(o, "ghb-entries", cfg.ghbEntries));
-    cfg.itEntries =
-        static_cast<uint32_t>(optU64(o, "it-entries", cfg.itEntries));
-    cfg.degree = static_cast<uint32_t>(optU64(o, "degree", cfg.degree));
-    cfg.maxWalk =
-        static_cast<uint32_t>(optU64(o, "max-walk", cfg.maxWalk));
-    cfg.blockSize =
-        static_cast<uint32_t>(optU64(o, "block", cfg.blockSize));
+    cfg.ghbEntries = optU32(o, "ghb-entries", cfg.ghbEntries);
+    cfg.itEntries = optU32(o, "it-entries", cfg.itEntries);
+    cfg.degree = optU32(o, "degree", cfg.degree);
+    cfg.maxWalk = optU32(o, "max-walk", cfg.maxWalk);
+    cfg.blockSize = optU32(o, "block", cfg.blockSize);
     return cfg;
 }
 
@@ -170,13 +161,10 @@ prefetch::StrideConfig
 strideConfigFromOptions(const Options &o)
 {
     prefetch::StrideConfig cfg;
-    cfg.entries =
-        static_cast<uint32_t>(optU64(o, "entries", cfg.entries));
-    cfg.degree = static_cast<uint32_t>(optU64(o, "degree", cfg.degree));
-    cfg.threshold =
-        static_cast<uint32_t>(optU64(o, "threshold", cfg.threshold));
-    cfg.blockSize =
-        static_cast<uint32_t>(optU64(o, "block", cfg.blockSize));
+    cfg.entries = optU32(o, "entries", cfg.entries);
+    cfg.degree = optU32(o, "degree", cfg.degree);
+    cfg.threshold = optU32(o, "threshold", cfg.threshold);
+    cfg.blockSize = optU32(o, "block", cfg.blockSize);
     cfg.l1Destination = optBool(o, "into-l1", cfg.l1Destination);
     return cfg;
 }
@@ -206,8 +194,8 @@ PrefetcherRegistry::builtin()
                   return std::make_unique<SmsDeployment>(sys, o);
               });
         r.add("ghb",
-              "GHB PC/DC: ghb-entries, it-entries, degree, max-walk, "
-              "block",
+              "GHB PC/DC: ghb-entries (pow2), it-entries (pow2), "
+              "degree, max-walk, block",
               {"ghb-entries", "it-entries", "degree", "max-walk",
                "block"},
               [](mem::MemorySystem &sys, const Options &o) {
@@ -229,10 +217,8 @@ PrefetcherRegistry::builtin()
               "sequential next-line on L1 miss: degree, block",
               {"degree", "block"},
               [](mem::MemorySystem &sys, const Options &o) {
-                  const auto block =
-                      static_cast<uint32_t>(optU64(o, "block", 64));
-                  const auto degree =
-                      static_cast<uint32_t>(optU64(o, "degree", 1));
+                  const auto block = optU32(o, "block", 64);
+                  const auto degree = optU32(o, "degree", 1);
                   return std::make_unique<AlgoDeployment>(
                       "next-line", sys, [block, degree] {
                           return std::make_unique<

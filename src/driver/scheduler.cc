@@ -1,6 +1,7 @@
 #include "driver/scheduler.hh"
 
 #include <algorithm>
+#include <tuple>
 
 #include "driver/costmodel.hh"
 #include "obs/counters.hh"
@@ -26,8 +27,20 @@ CellScheduler::CellScheduler(const ExperimentSpec &spec,
                              ProgressFn progress, CommitHook onCommit)
     : cells_(selectedCells(spec)), progress_(std::move(progress)),
       onCommit_(std::move(onCommit)), slots_(cells_.size()),
-      results_(cells_.size())
+      traceOf_(cells_.size()), results_(cells_.size())
 {
+    // the TraceCache key: cells sharing it share one trace and the
+    // executor's memos built on it
+    std::map<std::tuple<std::string, uint32_t, uint64_t, uint64_t>,
+             uint32_t> traces;
+    for (size_t i = 0; i < cells_.size(); ++i) {
+        const RunCell &c = cells_[i];
+        traceOf_[i] = traces.try_emplace(
+            {c.workload, c.params.ncpu, c.params.refsPerCpu,
+             c.params.seed},
+            static_cast<uint32_t>(traces.size())).first->second;
+    }
+    tracesRunning_.assign(traces.size(), 0);
     for (size_t i : scheduleOrder(spec, cells_))
         pending_.push_back(i);
     obs::gaugeAdd(&obs::Gauges::cellsPending,
@@ -68,15 +81,37 @@ CellScheduler::preload(const std::map<uint32_t, CellResult> &replayed)
     return n;
 }
 
+std::vector<size_t>
+CellScheduler::preferredLocked(size_t n) const
+{
+    // cells whose trace is idle first, then the rest, each group in
+    // schedule order
+    std::vector<size_t> pos;
+    for (int busy = 0; busy < 2; ++busy)
+        for (size_t k = 0; k < pending_.size() && pos.size() < n; ++k)
+            if ((tracesRunning_[traceOf_[pending_[k]]] > 0) == busy)
+                pos.push_back(k);
+    return pos;
+}
+
 CellScheduler::Claim
 CellScheduler::start(size_t cell)
 {
     Slot &s = slots_[cell];
     ++s.attempts;
     ++s.running;
+    ++tracesRunning_[traceOf_[cell]];
     s.startNs = obs::monotonicNs();
     obs::gaugeAdd(&obs::Gauges::workersBusy, 1);
     return Claim{cell, s.attempts, s.startNs};
+}
+
+void
+CellScheduler::stop(const Claim &claim)
+{
+    --slots_[claim.cell].running;
+    --tracesRunning_[traceOf_[claim.cell]];
+    obs::gaugeAdd(&obs::Gauges::workersBusy, -1);
 }
 
 std::optional<CellScheduler::Claim>
@@ -84,8 +119,10 @@ CellScheduler::claim(bool duplicate)
 {
     std::lock_guard<std::mutex> lk(mu);
     if (!pending_.empty()) {
-        const size_t cell = pending_.front();
-        pending_.pop_front();
+        const auto at = pending_.begin() +
+            static_cast<std::ptrdiff_t>(preferredLocked(1).front());
+        const size_t cell = *at;
+        pending_.erase(at);
         obs::gaugeAdd(&obs::Gauges::cellsPending, -1);
         return start(cell);
     }
@@ -152,9 +189,7 @@ CellScheduler::complete(const Claim &claim, CellResult result)
 {
     {
         std::lock_guard<std::mutex> lk(mu);
-        Slot &s = slots_[claim.cell];
-        --s.running;
-        obs::gaugeAdd(&obs::Gauges::workersBusy, -1);
+        stop(claim);
         if (!commitLocked(claim.cell, std::move(result)))
             return false;
         roundTripsMs_.push_back(
@@ -170,9 +205,8 @@ CellScheduler::release(const Claim &claim, const std::string &reason,
 {
     {
         std::lock_guard<std::mutex> lk(mu);
-        Slot &s = slots_[claim.cell];
-        --s.running;
-        obs::gaugeAdd(&obs::Gauges::workersBusy, -1);
+        stop(claim);
+        const Slot &s = slots_[claim.cell];
         if (s.committed || s.running > 0)
             return;  // a twin delivered, or is still running
         if (s.attempts < std::max<uint32_t>(maxAttempts, 1)) {
@@ -196,7 +230,7 @@ CellScheduler::lookahead()
 {
     std::lock_guard<std::mutex> lk(mu);
     std::vector<size_t> fresh;
-    for (size_t k = 0; k < pending_.size() && k < kLookahead; ++k) {
+    for (size_t k : preferredLocked(kLookahead)) {
         Slot &s = slots_[pending_[k]];
         if (!s.hinted) {
             s.hinted = true;

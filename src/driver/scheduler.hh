@@ -9,16 +9,21 @@
  * (one scheduler per request).
  *
  * The rules, all behind one mutex and none blocking:
- *  - claim order is the spec's scheduleOrder (FIFO, or LPT for
- *    schedule=cost);
+ *  - claims are trace-affine: a claim takes the first pending cell,
+ *    in the spec's scheduleOrder (FIFO, or LPT for schedule=cost),
+ *    whose trace (workload, ncpu, refs, seed) has no copy in flight,
+ *    or the front cell when every pending trace is busy, so lanes
+ *    work on different workloads instead of waiting on one another
+ *    to build the same CellExecutor memos;
  *  - the first result for a cell commits it; later copies are dropped;
  *  - a lost remote copy is re-queued at the front, or committed as an
  *    error once its attempts reach the caller's cap;
  *  - a lane that can stall on its own (a remote worker) may duplicate
  *    one tail straggler per cell once its round trip exceeds 3x the
  *    median committed round trip (with a floor);
- *  - lookahead() names each of the next kLookahead unclaimed cells
- *    once, so one TracePrefetcher can warm their traces.
+ *  - lookahead() names each of the next kLookahead unclaimed cells,
+ *    in claim preference order, once, so one TracePrefetcher can warm
+ *    their traces.
  *
  * Results land by expansion index, so reports are byte-identical
  * whichever lanes produced them.
@@ -83,8 +88,9 @@ class CellScheduler
     size_t preload(const std::map<uint32_t, CellResult> &replayed);
 
     /**
-     * The next pending cell in schedule order; with @p duplicate and
-     * nothing pending, a second copy of the worst tail straggler.
+     * The first pending cell, in schedule order, whose trace has no
+     * copy in flight (else the front pending cell); with @p duplicate
+     * and nothing pending, a second copy of the worst tail straggler.
      * nullopt when there is nothing to run now.
      */
     std::optional<Claim> claim(bool duplicate = false);
@@ -132,7 +138,10 @@ class CellScheduler
         uint64_t startNs = 0;  //!< latest claim of this cell
     };
 
+    /** The first @p n pending positions in claim preference order. */
+    std::vector<size_t> preferredLocked(size_t n) const;
     Claim start(size_t cell);
+    void stop(const Claim &claim);
     bool commitLocked(size_t cell, CellResult &&result);
     void report(size_t cell);
 
@@ -143,6 +152,8 @@ class CellScheduler
     mutable std::mutex mu;
     std::deque<size_t> pending_;
     std::vector<Slot> slots_;
+    std::vector<uint32_t> traceOf_;        //!< cell -> trace key
+    std::vector<uint32_t> tracesRunning_;  //!< trace key -> copies in flight
     std::vector<CellResult> results_;  //!< a committed slot never changes
     std::vector<double> roundTripsMs_; //!< committed claims (median)
 

@@ -269,8 +269,7 @@ parseSpec(const std::vector<std::string> &tokens)
                 spec.sweeps.emplace_back(opt, std::move(values));
         } else if (key == "ncpu") {
             Options o{{key, value}};
-            spec.params.ncpu =
-                static_cast<uint32_t>(optU64(o, key, spec.params.ncpu));
+            spec.params.ncpu = optU32(o, key, spec.params.ncpu);
             if (spec.params.ncpu == 0)
                 throw std::invalid_argument("ncpu must be positive");
         } else if (key == "refs") {
@@ -282,8 +281,7 @@ parseSpec(const std::vector<std::string> &tokens)
             spec.params.seed = optU64(o, key, spec.params.seed);
         } else if (key == "threads") {
             Options o{{key, value}};
-            spec.threads =
-                static_cast<uint32_t>(optU64(o, key, spec.threads));
+            spec.threads = optU32(o, key, spec.threads);
         } else if (key == "mode") {
             if (value == "system")
                 spec.mode = StudyMode::System;
@@ -510,8 +508,7 @@ expandSpec(const ExperimentSpec &spec)
                     // stream granularity must match the caches); the
                     // density axis retunes the cell's trackers
                     if (k == "density") {
-                        cell.densityRegion = static_cast<uint32_t>(
-                            optU64(point, k, 0));
+                        cell.densityRegion = optU32(point, k, 0);
                         continue;
                     }
                     if (isGeometryKey(k))
@@ -525,9 +522,8 @@ expandSpec(const ExperimentSpec &spec)
                 // hierarchy
                 auto blk = cell.engine.options.find("block");
                 if (blk != cell.engine.options.end()) {
-                    const auto bytes = static_cast<uint32_t>(
-                        optU64(cell.engine.options, "block",
-                               spec.sys.l1.blockSize));
+                    const auto bytes = optU32(cell.engine.options, "block",
+                                              spec.sys.l1.blockSize);
                     cell.sys.l1.blockSize = bytes;
                     cell.sys.l2.blockSize = bytes;
                 }

@@ -178,7 +178,7 @@ cmdTrace(const std::vector<std::string> &args)
         return 2;
     }
     workloads::WorkloadParams p = study::defaultParams();
-    p.ncpu = static_cast<uint32_t>(optU64(opts, "ncpu", p.ncpu));
+    p.ncpu = optU32(opts, "ncpu", p.ncpu);
     if (p.ncpu == 0) {
         std::cerr << "stems trace: ncpu must be positive\n";
         return 2;
@@ -229,15 +229,14 @@ cmdBench(const std::vector<std::string> &args)
         opt.repeats = 2;
     }
     opt.workload = optStr(kvs, "workload", opt.workload);
-    opt.ncpu = static_cast<uint32_t>(optU64(kvs, "ncpu", opt.ncpu));
+    opt.ncpu = optU32(kvs, "ncpu", opt.ncpu);
     if (opt.ncpu == 0) {
         std::cerr << "stems bench: ncpu must be positive\n";
         return 2;
     }
     opt.refsPerCpu = optU64(kvs, "refs", opt.refsPerCpu);
     opt.seed = optU64(kvs, "seed", opt.seed);
-    opt.repeats = static_cast<uint32_t>(
-        optU64(kvs, "repeats", opt.repeats));
+    opt.repeats = optU32(kvs, "repeats", opt.repeats);
     if (opt.repeats == 0)
         opt.repeats = 1;
     opt.jsonPath = optStr(kvs, "json", opt.jsonPath);

@@ -8,13 +8,15 @@ namespace stems::prefetch {
 
 GhbPcDc::GhbPcDc(const GhbConfig &config) : cfg(config)
 {
-    if (cfg.ghbEntries == 0 || cfg.itEntries == 0)
-        throw std::invalid_argument("GHB sizes must be nonzero");
+    if (!isPow2(cfg.ghbEntries) || !isPow2(cfg.itEntries))
+        throw std::invalid_argument(
+            "GHB ghb-entries and it-entries must be nonzero pow2");
     if (!isPow2(cfg.blockSize))
         throw std::invalid_argument("GHB block size must be pow2");
+    shift = log2i(cfg.blockSize);
     buffer.resize(cfg.ghbEntries);
     indexTable.resize(cfg.itEntries);
-    walkScratch.reserve(cfg.maxWalk);
+    deltas.resize(cfg.maxWalk);
 }
 
 void
@@ -25,79 +27,54 @@ GhbPcDc::observe(const ObservedAccess &a, std::vector<uint64_t> &out)
         return;
     ++stats_.triggers;
 
-    const uint32_t shift = log2i(cfg.blockSize);
     const uint64_t blk = a.addr >> shift;
 
     // insert the new entry, linking to this PC's previous miss
-    ItEntry &it = indexTable[a.pc % cfg.itEntries];
-    uint64_t prev = 0;
-    bool has_prev = false;
-    if (it.valid && it.pc == a.pc && inWindow(it.head)) {
-        prev = it.head;
-        has_prev = true;
-    }
+    ItEntry &it = indexTable[a.pc & (cfg.itEntries - 1)];
     const uint64_t seq = head++;
-    GhbEntry &e = buffer[seq % cfg.ghbEntries];
+    GhbEntry &e = buffer[seq & (cfg.ghbEntries - 1)];
     e.blockAddr = blk;
-    e.link = prev;
-    e.hasLink = has_prev;
+    e.link = it.pc == a.pc && inWindow(it.head) ? it.head : kNoLink;
     it.pc = a.pc;
     it.head = seq;
-    it.valid = true;
 
-    // walk this PC's chain, newest -> oldest
-    walkScratch.clear();
-    uint64_t cur = seq;
-    while (walkScratch.size() < cfg.maxWalk) {
-        const GhbEntry &g = buffer[cur % cfg.ghbEntries];
-        walkScratch.push_back(g.blockAddr);
-        if (!g.hasLink || !inWindow(g.link))
-            break;
-        // guard against a stale link overwritten by wrap-around
-        cur = g.link;
-    }
-    if (walkScratch.size() < 3)
-        return;
-    ++stats_.walks;
-
-    // deltas oldest -> newest: d[i] = addr[i+1] - addr[i]
-    const size_t n = walkScratch.size();
-    std::vector<int64_t> deltas(n - 1);
-    for (size_t i = 0; i + 1 < n; ++i) {
-        // walkScratch is newest-first; reverse while differencing
-        deltas[n - 2 - i] = static_cast<int64_t>(walkScratch[i]) -
-            static_cast<int64_t>(walkScratch[i + 1]);
-    }
-
-    // correlate on the most recent delta pair
-    if (deltas.size() < 2)
-        return;
-    const int64_t d1 = deltas[deltas.size() - 2];
-    const int64_t d2 = deltas[deltas.size() - 1];
-
-    // find the most recent earlier occurrence of (d1, d2); pairs may
-    // overlap the current context by one delta (constant strides)
-    size_t match = SIZE_MAX;
-    for (size_t j = deltas.size() - 1; j-- > 1;) {
-        if (deltas[j - 1] == d1 && deltas[j] == d2) {
-            match = j;
+    // walk this PC's chain newest -> oldest in one pass, differencing
+    // as we go: d[i] = addr[i] - addr[i+1]. The first m >= 1 with
+    // (d[m], d[m+1]) == (d[0], d[1]) is the most recent earlier
+    // occurrence of the current delta pair (pairs may overlap it by
+    // one delta: constant strides); a link out of the window is stale
+    size_t n = 1;  // chain entries visited
+    size_t match = 0;
+    uint64_t prev = blk;
+    for (uint64_t link = e.link; n < cfg.maxWalk && inWindow(link);) {
+        const GhbEntry &g = buffer[link & (cfg.ghbEntries - 1)];
+        deltas[n - 1] = static_cast<int64_t>(prev) -
+            static_cast<int64_t>(g.blockAddr);
+        prev = g.blockAddr;
+        link = g.link;
+        if (++n >= 4 && deltas[n - 3] == deltas[0] &&
+            deltas[n - 2] == deltas[1]) {
+            match = n - 3;
             break;
         }
     }
-    if (match == SIZE_MAX)
+    if (n < 3)
+        return;
+    ++stats_.walks;
+    if (match == 0)
         return;
     ++stats_.correlations;
 
-    // the deltas between the match and the present form one period of
-    // the pattern; replay them (cyclically) ahead of the current miss
-    const size_t period = deltas.size() - 1 - match;
+    // d[match-1] .. d[0] form one period of the pattern; replay them
+    // (cyclically) ahead of the current miss
     uint64_t addr = blk;
+    size_t i = match;
     for (uint32_t k = 0; k < cfg.degree; ++k) {
-        addr = static_cast<uint64_t>(
-            static_cast<int64_t>(addr) + deltas[match + 1 + (k % period)]);
+        i = (i == 0 ? match : i) - 1;
+        addr = static_cast<uint64_t>(static_cast<int64_t>(addr) + deltas[i]);
         out.push_back(addr << shift);
-        ++stats_.issued;
     }
+    stats_.issued += cfg.degree;
 }
 
 } // namespace stems::prefetch

@@ -25,8 +25,8 @@ namespace stems::prefetch {
 /** GHB PC/DC parameters. */
 struct GhbConfig
 {
-    uint32_t ghbEntries = 256;  //!< history buffer size (256 or 16k)
-    uint32_t itEntries = 256;   //!< index table entries (direct-mapped)
+    uint32_t ghbEntries = 256;  //!< history buffer size, pow2 (256 or 16k)
+    uint32_t itEntries = 256;   //!< index table entries, pow2 (direct-mapped)
     uint32_t degree = 4;        //!< max prefetches per trigger
     uint32_t maxWalk = 64;      //!< link-list walk bound
     uint32_t blockSize = 64;    //!< delta granularity
@@ -56,18 +56,19 @@ class GhbPcDc : public PrefetchAlgorithm
     const GhbStats &stats() const { return stats_; }
 
   private:
+    /** A sequence number never inside the window: no link. */
+    static constexpr uint64_t kNoLink = UINT64_MAX;
+
     struct GhbEntry
     {
-        uint64_t blockAddr = 0;  //!< miss address in blocks
-        uint64_t link = 0;       //!< global seq of previous same-PC entry
-        bool hasLink = false;
+        uint64_t blockAddr = 0;   //!< miss address in blocks
+        uint64_t link = kNoLink;  //!< global seq of previous same-PC entry
     };
 
     struct ItEntry
     {
         uint64_t pc = 0;
-        uint64_t head = 0;  //!< global seq of newest GHB entry for pc
-        bool valid = false;
+        uint64_t head = kNoLink;  //!< global seq of newest entry for pc
     };
 
     bool
@@ -77,10 +78,11 @@ class GhbPcDc : public PrefetchAlgorithm
     }
 
     GhbConfig cfg;
+    uint32_t shift = 0;  //!< log2(blockSize)
     std::vector<GhbEntry> buffer;
     std::vector<ItEntry> indexTable;
     uint64_t head = 0;  //!< next global sequence number
-    std::vector<uint64_t> walkScratch;
+    std::vector<int64_t> deltas;  //!< walk differences, newest first
     GhbStats stats_;
 };
 

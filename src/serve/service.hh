@@ -20,11 +20,11 @@
  *
  *  - One scheduler per request. Each admitted request owns a
  *    driver::CellScheduler; fleet threads claim across requests in
- *    admission order, and within a request in the spec's schedule
- *    order (FIFO or schedule=cost LPT). Every claim
- *    hands the scheduler's lookahead to one background
- *    TracePrefetcher, so the next cells' traces warm while the fleet
- *    simulates.
+ *    admission order, and within a request trace-affine in the
+ *    spec's schedule order (FIFO or schedule=cost LPT; see
+ *    CellScheduler). Every claim hands the scheduler's lookahead to
+ *    one background TracePrefetcher, so the next cells' traces warm
+ *    while the fleet simulates.
  *
  *  - Per-request journals. With journalDir set, each request appends
  *    to a crash-safe journal named by its spec fingerprint; a killed

@@ -12,7 +12,7 @@
 #ifndef STEMS_UTIL_HUGEPAGE_HH
 #define STEMS_UTIL_HUGEPAGE_HH
 
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -24,8 +24,8 @@
 namespace stems::util {
 
 /**
- * A fixed-size value-initialized array allocated on 2 MiB-aligned
- * storage with MADV_HUGEPAGE when the request is large enough to
+ * A fixed-size value-initialized array on its own 2 MiB-aligned
+ * mapping with MADV_HUGEPAGE when the request is large enough to
  * benefit.
  */
 template <typename T>
@@ -62,24 +62,40 @@ class HugeArray
             return;
         n = count;
         const size_t bytes = count * sizeof(T);
+#if defined(__linux__)
         if (bytes >= kHugeThreshold) {
+            // a mapping of its own: munmap returns the table to the OS
+            // on release, where malloc may keep a freed block in the
+            // freeing thread's arena, inflating peak RSS when several
+            // threads build tables
             const size_t rounded =
                 (bytes + kHugePage - 1) & ~(kHugePage - 1);
-            void *raw = std::aligned_alloc(kHugePage, rounded);
-            if (raw) {
-#if defined(__linux__)
-                ::madvise(raw, rounded, MADV_HUGEPAGE);
-#endif
-                p = static_cast<T *>(raw);
-                aligned = true;
+            void *raw = ::mmap(nullptr, rounded + kHugePage,
+                               PROT_READ | PROT_WRITE,
+                               MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (raw != MAP_FAILED) {
+                // keep the 2 MiB-aligned window, unmap the slack
+                char *base = static_cast<char *>(raw);
+                char *start = base +
+                    (kHugePage - reinterpret_cast<uintptr_t>(base) %
+                         kHugePage) % kHugePage;
+                if (start > base)
+                    ::munmap(base, static_cast<size_t>(start - base));
+                ::munmap(start + rounded,
+                         static_cast<size_t>(base + kHugePage - start));
+                ::madvise(start, rounded, MADV_HUGEPAGE);
+                p = reinterpret_cast<T *>(start);
+                mapped = rounded;
             }
         }
-        if (!p) {
+#endif
+        if (!p)
             p = static_cast<T *>(
                 ::operator new(bytes, std::align_val_t{64}));
-            aligned = false;
-        }
-        std::uninitialized_value_construct_n(p, n);
+        // a fresh mapping is zero-filled, which is already a value-
+        // initialized arithmetic array: skip a second pass over it
+        if (!(mapped && std::is_arithmetic_v<T>))
+            std::uninitialized_value_construct_n(p, n);
     }
 
     /** Release storage (empty state). */
@@ -89,12 +105,15 @@ class HugeArray
         if (!p)
             return;
         std::destroy_n(p, n);
-        if (aligned)
-            std::free(p);
+#if defined(__linux__)
+        if (mapped)
+            ::munmap(p, mapped);
         else
+#endif
             ::operator delete(p, std::align_val_t{64});
         p = nullptr;
         n = 0;
+        mapped = 0;
     }
 
     T *get() const { return p; }
@@ -113,12 +132,12 @@ class HugeArray
     {
         std::swap(p, o.p);
         std::swap(n, o.n);
-        std::swap(aligned, o.aligned);
+        std::swap(mapped, o.mapped);
     }
 
     T *p = nullptr;
     size_t n = 0;
-    bool aligned = false;
+    size_t mapped = 0;  //!< bytes mapped by mmap (0: operator new)
 };
 
 } // namespace stems::util

@@ -158,6 +158,28 @@ TEST(PrefetcherRegistry, GhbAndStrideOptionsTranslate)
     EXPECT_EQ(s.threshold, 3u);
 }
 
+TEST(Driver, EngineOptionsRejectValuesAbove32Bits)
+{
+    // 4294967552 = 2^32 + 256: truncated, it would run a 256-entry GHB
+    // while the report echoed the option as given
+    const Options big{{"ghb-entries", "4294967552"}};
+    EXPECT_THROW(ghbConfigFromOptions(big), std::invalid_argument);
+    mem::MemorySystem sys(tinySys());
+    EXPECT_THROW(PrefetcherRegistry::builtin().create("ghb", sys, big),
+                 std::invalid_argument);
+    EXPECT_THROW(smsConfigFromOptions({{"pht-entries", "4294967552"}}),
+                 std::invalid_argument);
+    EXPECT_THROW(strideConfigFromOptions({{"degree", "4294967552"}}),
+                 std::invalid_argument);
+
+    // the 32-bit range itself is accepted as given
+    EXPECT_EQ(optU32({{"degree", "4294967295"}}, "degree", 1),
+              UINT32_MAX);
+    EXPECT_THROW(optU32({{"degree", "4294967296"}}, "degree", 1),
+                 std::invalid_argument);
+    EXPECT_EQ(optU32({}, "degree", 7), 7u);
+}
+
 // ---------------------------------------------------------------------
 // spec parsing + expansion
 // ---------------------------------------------------------------------

@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for util::FlatMap (the open-addressing table behind the
- * hot-path hardware structures) and the fixed-capacity ring/heap used
- * by the timing model: growth across rehashes, tombstone reuse,
- * erase-during-iteration, and randomized equivalence against
- * std::unordered_map as the reference semantics.
+ * hot-path hardware structures), the HugeArray storage under it, and
+ * the fixed-capacity ring/heap used by the timing model: growth across
+ * rehashes, tombstone reuse, erase-during-iteration, and randomized
+ * equivalence against std::unordered_map as the reference semantics.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +16,45 @@
 
 #include "trace/rng.hh"
 #include "util/flat_map.hh"
+#include "util/hugepage.hh"
 #include "util/ring.hh"
 
 using stems::util::FixedMinHeap;
 using stems::util::FixedRing;
 using stems::util::FlatMap;
+using stems::util::HugeArray;
+
+TEST(HugeArray, ValueInitializedAtEverySizeAndHugePageAligned)
+{
+    struct Slot
+    {
+        uint64_t key = 7;
+        uint32_t hits = 0;
+    };
+    // below the huge-page threshold, just above it (an odd size, so
+    // the mapping is trimmed on both sides), and several huge pages
+    for (size_t count : {size_t{1000}, (size_t{1} << 16) + 3,
+                         size_t{3} << 18}) {
+        HugeArray<Slot> a(count);
+        ASSERT_EQ(a.size(), count);
+        EXPECT_TRUE(std::all_of(a.begin(), a.end(), [](const Slot &s) {
+            return s.key == 7 && s.hits == 0;
+        }));
+        a[count - 1].hits = 9;
+        if (count * sizeof(Slot) >= (size_t{1} << 20)) {
+#if defined(__linux__)
+            EXPECT_EQ(reinterpret_cast<uintptr_t>(a.get()) %
+                          (size_t{2} << 20),
+                      0u);
+#endif
+        }
+        HugeArray<Slot> moved(std::move(a));
+        EXPECT_FALSE(a);
+        EXPECT_EQ(moved[count - 1].hits, 9u);
+        moved.reset(count / 2 + 1);  // release, then allocate afresh
+        EXPECT_EQ(moved[count / 2].hits, 0u);
+    }
+}
 
 TEST(FlatMap, InsertFindErase)
 {

@@ -1,10 +1,11 @@
 /**
  * @file
  * CellScheduler invariants — the one place that checks every cell
- * commits exactly one result: concurrent claimers, a duplicate losing
- * and a duplicate winning, release -> requeue -> failure at the
- * attempt cap, journal-preloaded cells that never re-fire progress,
- * and lookahead that never names a claimed cell.
+ * commits exactly one result: concurrent claimers, trace-affine claim
+ * order, a duplicate losing and a duplicate winning, release ->
+ * requeue -> failure at the attempt cap, journal-preloaded cells that
+ * never re-fire progress, and lookahead that never names a claimed
+ * cell.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +109,51 @@ TEST(Scheduler, ClaimsFollowScheduleOrder)
     EXPECT_EQ(claimed, scheduleOrder(spec, sched.cells()));
     // LPT: the heaviest engine first, not expansion order
     EXPECT_EQ(sched.cells()[claimed.front()].engine.kind, "sms");
+}
+
+TEST(Scheduler, ClaimSpreadsLanesAcrossTraces)
+{
+    // specOf(10): cells 0-4 share one workload's trace, 5-9 the next
+    CellScheduler sched(specOf(10));
+    const auto a = sched.claim();
+    const auto b = sched.claim();
+    ASSERT_TRUE(a && b);
+    EXPECT_EQ(a->cell, 0u);
+    EXPECT_EQ(b->cell, 5u);
+    EXPECT_NE(sched.cells()[a->cell].workload,
+              sched.cells()[b->cell].workload);
+
+    // the first trace is idle again: its next cell is the next claim
+    EXPECT_TRUE(sched.complete(*a, {}));
+    const auto c = sched.claim();
+    ASSERT_TRUE(c);
+    EXPECT_EQ(c->cell, 1u);
+    EXPECT_EQ(sched.cells()[c->cell].workload,
+              sched.cells()[a->cell].workload);
+}
+
+TEST(Scheduler, ClaimFallsBackToFrontWhenEveryTraceIsBusy)
+{
+    CellScheduler sched(specOf(10));
+    std::vector<CellScheduler::Claim> c;
+    for (int i = 0; i < 4; ++i) {
+        const auto x = sched.claim();
+        ASSERT_TRUE(x);
+        c.push_back(*x);
+    }
+    // one cell per trace, then the front of schedule order
+    EXPECT_EQ(c[0].cell, 0u);
+    EXPECT_EQ(c[1].cell, 5u);
+    EXPECT_EQ(c[2].cell, 1u);
+    EXPECT_EQ(c[3].cell, 2u);
+
+    // the second trace idles while the first still has two copies
+    // running: its next cell jumps the queue
+    EXPECT_TRUE(sched.complete(c[1], {}));
+    EXPECT_TRUE(sched.complete(c[0], {}));
+    const auto next = sched.claim();
+    ASSERT_TRUE(next);
+    EXPECT_EQ(next->cell, 6u);
 }
 
 TEST(Scheduler, TailStragglerDuplicateLosesOrWinsOnce)

@@ -112,7 +112,7 @@ BENCHMARK(BM_SmsTrainPredict)->Unit(benchmark::kMillisecond);
 void
 BM_RunTiming(benchmark::State &state)
 {
-    const auto &streams = benchStreams();
+    const trace::StreamSet set = trace::StreamSet::borrowed(benchStreams());
     const trace::Trace &t = benchTrace();
     for (auto _ : state) {
         sim::TimingConfig cfg;
@@ -122,7 +122,7 @@ BM_RunTiming(benchmark::State &state)
         if (state.range(0) != 0)
             attach = driver::registryAttach("sms", dep);
         benchmark::DoNotOptimize(
-            sim::runTiming(streams, cfg, 1, attach).cycles);
+            sim::runTiming(set, cfg, 1, attach).cycles);
     }
     reportRefRate(state, t.size());
 }

@@ -11,9 +11,9 @@
 
 #include <cstdio>
 
+#include "driver/registry.hh"
 #include "study/memstudy.hh"
 #include "study/suite.hh"
-#include "workloads/oltp.hh"
 
 using namespace stems;
 using namespace stems::study;
@@ -21,19 +21,18 @@ using namespace stems::study;
 int
 main()
 {
-    workloads::OltpWorkload oltp(workloads::OltpWorkload::db2());
     auto params = defaultParams(50000);
-    std::printf("generating %s: %u cpus x %llu refs...\n",
-                oltp.name().c_str(), params.ncpu,
-                (unsigned long long)params.refsPerCpu);
-    trace::Trace t = workloads::makeTrace(oltp, params);
+    std::printf("generating OLTP-DB2: %u cpus x %llu refs...\n",
+                params.ncpu, (unsigned long long)params.refsPerCpu);
+    TraceCache traces;
+    const trace::StreamSet &set = traces.viewSet("OLTP-DB2", params);
 
-    SystemStudyConfig base;  // Table 1 defaults: 64kB L1s, 8MB L2s
-    auto rb = runSystem(t, base);
+    SystemStudyConfig cfg;  // Table 1 defaults: 64kB L1s, 8MB L2s
+    auto rb = runSystem(set, cfg, params.seed);
 
-    SystemStudyConfig sms = base;
-    sms.pf = PfKind::Sms;
-    auto rs = runSystem(t, sms);
+    std::unique_ptr<driver::PrefetcherDeployment> sms;
+    auto rs = runSystem(set, cfg, params.seed,
+                        driver::registryAttach("sms", sms));
 
     std::printf("\n%-28s %12s %12s\n", "", "base", "with SMS");
     std::printf("%-28s %12llu %12llu\n", "L1 read misses",

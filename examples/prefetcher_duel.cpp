@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "prefetch/stride.hh"
+#include "driver/registry.hh"
 #include "study/memstudy.hh"
 #include "study/suite.hh"
 #include "study/table.hh"
@@ -41,51 +41,19 @@ main(int argc, char **argv)
             std::printf("unknown workload: %s\n", name.c_str());
             return 1;
         }
-        const trace::Trace &t = traces.get(name, params);
+        const trace::StreamSet &set = traces.viewSet(name, params);
 
-        SystemStudyConfig base;
-        auto rb = runSystem(t, base);
+        SystemStudyConfig cfg;
+        auto rb = runSystem(set, cfg, params.seed);
         const double l2m = double(rb.l2ReadMisses) + 1e-9;
         const double l1m = double(rb.l1ReadMisses) + 1e-9;
 
-        struct V
-        {
-            const char *label;
-            PfKind pf;
-            bool stride;
-        };
-        for (auto v : {V{"stride", PfKind::None, true},
-                       V{"ghb-pc/dc", PfKind::Ghb, false},
-                       V{"sms", PfKind::Sms, false}}) {
-            SystemStudyConfig cfg;
-            cfg.pf = v.pf;
-            if (v.stride) {
-                // bolt a stride prefetcher on via the generic
-                // controller path used for custom algorithms
-                mem::MemorySystem sys(cfg.sys);
-                prefetch::PrefetchController pc(sys, [] {
-                    return std::make_unique<prefetch::StridePrefetcher>(
-                        prefetch::StrideConfig{});
-                });
-                SystemStudyResult r;
-                for (const auto &a : t) {
-                    auto out = sys.access(a);
-                    if (!a.isWrite && out.l1PrefetchHit)
-                        ++r.l1Covered;
-                    if (!a.isWrite && out.l2PrefetchHit)
-                        ++r.l2Covered;
-                }
-                uint64_t op = 0;
-                for (uint32_t c = 0; c < sys.numCpus(); ++c)
-                    op += sys.l2(c).stats().prefetchUnused;
-                table.addRow({name, v.label,
-                              TablePrinter::pct(r.l2Covered / l2m),
-                              TablePrinter::pct(r.l1Covered / l1m),
-                              TablePrinter::pct(op / l2m)});
-                continue;
-            }
-            auto r = runSystem(t, cfg);
-            table.addRow({name, v.label,
+        // every engine deploys through the prefetcher registry
+        for (const char *kind : {"stride", "ghb", "sms"}) {
+            std::unique_ptr<driver::PrefetcherDeployment> dep;
+            auto r = runSystem(set, cfg, params.seed,
+                               driver::registryAttach(kind, dep));
+            table.addRow({name, kind,
                           TablePrinter::pct(r.l2Covered / l2m),
                           TablePrinter::pct(r.l1Covered / l1m),
                           TablePrinter::pct(r.l2Overpred / l2m)});

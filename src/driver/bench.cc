@@ -123,23 +123,23 @@ benchOneWorkload(const std::string &workload, const BenchOptions &opt,
     // the full-system timing model: baseline, then registry engines
     // through the generic attach seam (the production path for every
     // uIPC number)
-    auto timedRun = [&streams, &p](const char *kind) {
+    const trace::StreamSet borrowed = trace::StreamSet::borrowed(streams);
+    auto timedRun = [&](const trace::StreamSet &set, const char *kind) {
         sim::TimingConfig cfg;
         cfg.sys.ncpu = p.ncpu;
         std::unique_ptr<PrefetcherDeployment> dep;
-        sim::runTiming(streams, cfg, p.seed, registryAttach(kind, dep));
+        sim::runTiming(set, cfg, p.seed, registryAttach(kind, dep));
     };
     out.push_back(measure(workload, "run_timing", refs, opt.repeats,
-                          [&] { timedRun("none"); }));
+                          [&] { timedRun(borrowed, "none"); }));
     out.push_back(measure(workload, "run_timing_sms", refs, opt.repeats,
-                          [&] { timedRun("sms"); }));
+                          [&] { timedRun(borrowed, "sms"); }));
     out.push_back(measure(workload, "run_timing_ghb", refs, opt.repeats,
-                          [&] { timedRun("ghb"); }));
+                          [&] { timedRun(borrowed, "ghb"); }));
 
     // the paired panel for run_timing: the same baseline timing pass
-    // consuming a mapped spill zero-copy (the streaming replay path)
-    // instead of in-memory vectors — the before/after for the
-    // zero-materialization pipeline
+    // over a mapped spill (the replay backing) instead of borrowed
+    // in-memory vectors
     const std::string spill =
         (std::filesystem::temp_directory_path() /
          ("stems_bench_view_" + std::to_string(::getpid()) + ".stmt"))
@@ -148,13 +148,8 @@ benchOneWorkload(const std::string &workload, const BenchOptions &opt,
         if (auto mapped = trace::MappedTrace::open(spill)) {
             const trace::StreamSet set = trace::StreamSet::mapped(mapped);
             out.push_back(measure(workload, "run_timing_view", refs,
-                                  opt.repeats, [&] {
-                sim::TimingConfig cfg;
-                cfg.sys.ncpu = p.ncpu;
-                std::unique_ptr<PrefetcherDeployment> dep;
-                sim::runTiming(set, cfg, p.seed,
-                               registryAttach("none", dep));
-            }));
+                                  opt.repeats,
+                                  [&] { timedRun(set, "none"); }));
         }
         std::filesystem::remove(spill);
     }

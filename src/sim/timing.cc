@@ -156,10 +156,12 @@ struct Annotated
 /** Accesses staged per batch; amortizes the annotate/retire switch. */
 constexpr size_t kBatch = 128;
 
+} // anonymous namespace
+
 /**
- * Single fused pass over @p view: each reference is annotated by the
- * coherent memory system and retired through its CPU's core model.
- * Batched in groups of kBatch — the annotate loop (cache hierarchy +
+ * Single fused pass over the canonical interleave of @p set: each
+ * reference is annotated by the coherent memory system and retired
+ * through its CPU's core model. Batched in groups of kBatch — the annotate loop (cache hierarchy +
  * latency classification) runs back to back, then the core-model
  * retire loop drains the batch. The two loops touch disjoint state
  * (annotation never reads core time), so the split is numerically
@@ -167,8 +169,8 @@ constexpr size_t kBatch = 128;
  * branches and data hot.
  */
 TimingResult
-runTimingView(trace::InterleavedView &view, const TimingConfig &cfg,
-              const prefetch::PfAttach &attach)
+runTiming(const trace::StreamSet &set, const TimingConfig &cfg,
+          uint64_t seed, const prefetch::PfAttach &attach)
 {
     const uint32_t ncpu = cfg.sys.ncpu;
     Torus torus(4, 4, cfg.core.hopLatency);
@@ -190,56 +192,49 @@ runTimingView(trace::InterleavedView &view, const TimingConfig &cfg,
         filled = 0;
     };
 
-    const trace::MemAccess *span;
-    uint32_t spanCpu;
-    size_t spanLen;
-    while ((spanLen = view.nextSpan(span, spanCpu)) != 0) {
-        for (size_t k = 0; k < spanLen; ++k) {
-            trace::MemAccess a = span[k];
-            a.cpu = spanCpu;
-            mem::AccessOutcome out = sys.access(a);
-            uint32_t lat;
-            Cat cat;
-            switch (out.level) {
-              case mem::HitLevel::L1:
-                lat = cfg.core.l1Latency;
-                cat = Cat::L1;
-                break;
-              case mem::HitLevel::L2:
-                lat = cfg.core.l2Latency;
-                cat = Cat::OnChip;
-                break;
-              case mem::HitLevel::Remote:
-                lat = cfg.core.l2Latency +
-                    torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
-                    cfg.core.l2Latency;
-                cat = Cat::OffChip;
-                break;
-              default:  // HitLevel::Memory
-                lat = cfg.core.l2Latency +
-                    torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
-                    cfg.core.memLatency;
-                cat = Cat::OffChip;
-                break;
-            }
-            if (a.isWrite && out.l1PrefetchHit) {
-                // the attached engine streamed this block read-only;
-                // the store still pays a full fetch-for-ownership
-                // round trip before the store buffer can drain it
-                // (Section 4.7's Qry1 observation) — uniform for any
-                // into-L1 prefetcher, not an SMS special case
-                lat = std::max<uint32_t>(
-                    cfg.core.upgradeLatency,
-                    cfg.core.l2Latency +
-                        torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
-                        cfg.core.memLatency);
-                cat = Cat::OffChip;
-            }
-            batch[filled++] = {a, lat, cat};
-            if (filled == kBatch)
-                drain();
+    trace::canonicalView(set, seed).forEach([&](const trace::MemAccess &a) {
+        mem::AccessOutcome out = sys.access(a);
+        uint32_t lat;
+        Cat cat;
+        switch (out.level) {
+          case mem::HitLevel::L1:
+            lat = cfg.core.l1Latency;
+            cat = Cat::L1;
+            break;
+          case mem::HitLevel::L2:
+            lat = cfg.core.l2Latency;
+            cat = Cat::OnChip;
+            break;
+          case mem::HitLevel::Remote:
+            lat = cfg.core.l2Latency +
+                torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
+                cfg.core.l2Latency;
+            cat = Cat::OffChip;
+            break;
+          default:  // HitLevel::Memory
+            lat = cfg.core.l2Latency +
+                torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
+                cfg.core.memLatency;
+            cat = Cat::OffChip;
+            break;
         }
-    }
+        if (a.isWrite && out.l1PrefetchHit) {
+            // the attached engine streamed this block read-only;
+            // the store still pays a full fetch-for-ownership
+            // round trip before the store buffer can drain it
+            // (Section 4.7's Qry1 observation) — uniform for any
+            // into-L1 prefetcher, not an SMS special case
+            lat = std::max<uint32_t>(
+                cfg.core.upgradeLatency,
+                cfg.core.l2Latency +
+                    torus.roundTrip(a.cpu, torus.homeNode(a.addr)) +
+                    cfg.core.memLatency);
+            cat = Cat::OffChip;
+        }
+        batch[filled++] = {a, lat, cat};
+        if (filled == kBatch)
+            drain();
+    });
     drain();
 
     if (pf)
@@ -254,25 +249,6 @@ runTimingView(trace::InterleavedView &view, const TimingConfig &cfg,
         res.systemInstructions += cores[c].systemInstructions;
     }
     return res;
-}
-
-} // anonymous namespace
-
-TimingResult
-runTiming(const std::vector<trace::Trace> &streams,
-          const TimingConfig &cfg, uint64_t seed,
-          const prefetch::PfAttach &attach)
-{
-    trace::InterleavedView view = trace::canonicalView(streams, seed);
-    return runTimingView(view, cfg, attach);
-}
-
-TimingResult
-runTiming(const trace::StreamSet &set, const TimingConfig &cfg,
-          uint64_t seed, const prefetch::PfAttach &attach)
-{
-    trace::InterleavedView view = trace::canonicalView(set, seed);
-    return runTimingView(view, cfg, attach);
 }
 
 } // namespace stems::sim

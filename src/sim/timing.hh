@@ -116,23 +116,15 @@ struct TimingResult
 };
 
 /**
- * Run the timing model over per-CPU streams (from
- * Workload::generateStreams).
+ * Run the timing model over the canonical interleave of @p set for
+ * workload seed @p seed — the fused annotate+retire pass, whatever
+ * backs the set (StreamSet::borrowed covers in-memory vectors; a
+ * mapped spill is consumed straight from the page cache).
  *
  * @param attach builds a prefetcher deployment onto the run's
  *               MemorySystem before the first reference (empty = no
  *               prefetcher). The returned handle is drained after the
  *               last reference, exactly as in study::runSystem.
- */
-TimingResult runTiming(const std::vector<trace::Trace> &streams,
-                       const TimingConfig &cfg, uint64_t seed = 1,
-                       const prefetch::PfAttach &attach = {});
-
-/**
- * Zero-materialization form: drive the fused annotate+retire pass
- * from a StreamSet, whose backing may be an mmap'd spill consumed
- * straight from the page cache. Byte-identical results to the
- * vector-of-streams overload.
  */
 TimingResult runTiming(const trace::StreamSet &set,
                        const TimingConfig &cfg, uint64_t seed = 1,

@@ -22,7 +22,6 @@
 #include "core/sectored.hh"
 #include "core/sms.hh"
 #include "mem/cache.hh"
-#include "trace/access.hh"
 #include "trace/stream.hh"
 
 namespace stems::study {
@@ -90,15 +89,10 @@ struct L1StudyResult
     }
 };
 
-/** Run one pass of the trace through the shadow-L1 pipeline. */
-L1StudyResult runL1Study(const trace::Trace &t, const L1StudyConfig &cfg);
-
 /**
- * Zero-materialization form: drive the shadow pipeline from a
- * StreamSet in canonical interleaved order for workload seed @p seed
- * (identical to the order the merged trace materialises), so the
- * merged copy is never built. Results are byte-identical to the
- * merged-trace overload.
+ * Run one pass through the shadow-L1 pipeline, driven from @p set in
+ * the canonical interleaved order for workload seed @p seed (the
+ * order workloads::makeTrace materialises), whatever backs the set.
  */
 L1StudyResult runL1Study(const trace::StreamSet &set,
                          const L1StudyConfig &cfg, uint64_t seed);

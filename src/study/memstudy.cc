@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "core/oracle.hh"
-#include "prefetch/prefetcher.hh"
 #include "trace/interleaver.hh"
 
 namespace stems::study {
@@ -31,16 +30,11 @@ class OracleListener : public mem::CacheListener
     core::OracleTracker tracker;
 };
 
-/**
- * The study proper, templated over how accesses are delivered:
- * @p drive is called once with a per-access sink and must invoke it
- * for every reference in interleaved order. Instantiated for the
- * merged-trace and zero-copy stream-view front ends below.
- */
-template <typename DriveFn>
+} // anonymous namespace
+
 SystemStudyResult
-runSystemImpl(DriveFn &&drive, const SystemStudyConfig &cfg,
-              const PfAttach &attach)
+runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
+          uint64_t seed, const PfAttach &attach)
 {
     SystemStudyResult res;
     mem::MemorySystem sys(cfg.sys);
@@ -81,7 +75,7 @@ runSystemImpl(DriveFn &&drive, const SystemStudyConfig &cfg,
         }
     }
 
-    drive([&](const trace::MemAccess &a) {
+    trace::canonicalView(set, seed).forEach([&](const trace::MemAccess &a) {
         res.instructions += a.ninst + 1;
         mem::AccessOutcome out = sys.access(a);
 
@@ -149,87 +143,6 @@ runSystemImpl(DriveFn &&drive, const SystemStudyConfig &cfg,
         }
     }
     return res;
-}
-
-} // anonymous namespace
-
-SystemStudyResult
-runSystem(const trace::Trace &t, const SystemStudyConfig &cfg)
-{
-    // classic PfKind wiring, expressed through the attach hook
-    std::unique_ptr<core::SmsController> sms;
-    std::unique_ptr<prefetch::PrefetchController> ghb;
-    return runSystem(t, cfg,
-                     [&](mem::MemorySystem &sys) -> AttachedPrefetcher * {
-        if (cfg.pf == PfKind::Sms) {
-            sms = std::make_unique<core::SmsController>(sys, cfg.sms);
-        } else if (cfg.pf == PfKind::Ghb) {
-            ghb = std::make_unique<prefetch::PrefetchController>(
-                sys, [&cfg] {
-                    return std::make_unique<prefetch::GhbPcDc>(cfg.ghb);
-                });
-        }
-        return nullptr;
-    });
-}
-
-SystemStudyResult
-runSystem(const trace::Trace &t, const SystemStudyConfig &cfg,
-          const PfAttach &attach)
-{
-    return runSystemImpl(
-        [&t](auto &&sink) {
-            for (const auto &a : t)
-                sink(a);
-        },
-        cfg, attach);
-}
-
-namespace {
-
-/** Drive @p sink over @p view in span order, cpu field restamped. */
-template <typename Sink>
-void
-driveView(trace::InterleavedView &view, Sink &&sink)
-{
-    const trace::MemAccess *span;
-    uint32_t spanCpu;
-    size_t n;
-    while ((n = view.nextSpan(span, spanCpu)) != 0) {
-        for (size_t k = 0; k < n; ++k) {
-            trace::MemAccess a = span[k];
-            a.cpu = spanCpu;
-            sink(a);
-        }
-    }
-}
-
-} // anonymous namespace
-
-SystemStudyResult
-runSystem(const std::vector<trace::Trace> &streams,
-          const SystemStudyConfig &cfg, uint64_t seed,
-          const PfAttach &attach)
-{
-    return runSystemImpl(
-        [&streams, seed](auto &&sink) {
-            trace::InterleavedView view =
-                trace::canonicalView(streams, seed);
-            driveView(view, sink);
-        },
-        cfg, attach);
-}
-
-SystemStudyResult
-runSystem(const trace::StreamSet &set, const SystemStudyConfig &cfg,
-          uint64_t seed, const PfAttach &attach)
-{
-    return runSystemImpl(
-        [&set, seed](auto &&sink) {
-            trace::InterleavedView view = trace::canonicalView(set, seed);
-            driveView(view, sink);
-        },
-        cfg, attach);
 }
 
 } // namespace stems::study

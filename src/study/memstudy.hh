@@ -1,11 +1,12 @@
 /**
  * @file
  * Full-system trace study on the multiprocessor memory hierarchy:
- * drives a MemorySystem (optionally with SMS or GHB attached) over an
- * interleaved trace and collects the measurements behind Figures 4, 5
- * and 11 — per-level miss rates, oracle opportunity at a set of
- * region sizes, access-density histograms, off-chip coverage, and the
- * true/false sharing split.
+ * drives a MemorySystem (with any prefetcher attached through the
+ * attach seam) over the canonical interleave of a StreamSet and
+ * collects the measurements behind Figures 4, 5 and 11 — per-level
+ * miss rates, oracle opportunity at a set of region sizes,
+ * access-density histograms, off-chip coverage, and the true/false
+ * sharing split.
  */
 
 #ifndef STEMS_STUDY_MEMSTUDY_HH
@@ -13,37 +14,27 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "core/sms.hh"
 #include "mem/memsys.hh"
 #include "prefetch/attach.hh"
-#include "prefetch/ghb.hh"
 #include "study/density.hh"
-#include "trace/access.hh"
 #include "trace/stream.hh"
 
 namespace stems::study {
 
 /**
- * The attach seam (see prefetch/attach.hh): the experiment engine's
- * registry returns these so runSystem — and sim::runTiming — can host
- * any deployment, not just the built-in PfKind set.
+ * The attach seam (see prefetch/attach.hh): driver::registryAttach
+ * builds these, so runSystem — and sim::runTiming — host any
+ * registered prefetcher through one factory.
  */
 using AttachedPrefetcher = prefetch::AttachedPrefetcher;
 using PfAttach = prefetch::PfAttach;
-
-/** Which prefetcher (if any) to deploy in a system run. */
-enum class PfKind { None, Sms, Ghb };
 
 /** Configuration of one full-system run. */
 struct SystemStudyConfig
 {
     mem::MemSysConfig sys;
-    PfKind pf = PfKind::None;
-    core::SmsConfig sms;
-    prefetch::GhbConfig ghb;
     /** Track oracle generations at these region sizes (L1 and L2). */
     std::vector<uint32_t> oracleRegionSizes;
     bool trackDensity = false;
@@ -89,34 +80,16 @@ struct SystemStudyResult
     }
 };
 
-/** Run one trace through a configured system. */
-SystemStudyResult runSystem(const trace::Trace &t,
-                            const SystemStudyConfig &cfg);
-
 /**
- * Run one trace through a configured system with a caller-supplied
- * prefetcher deployment (cfg.pf is ignored). The handle returned by
- * @p attach is drained after the trace completes, before harvest.
- */
-SystemStudyResult runSystem(const trace::Trace &t,
-                            const SystemStudyConfig &cfg,
-                            const PfAttach &attach);
-
-/**
- * Zero-copy form: drive the system from per-CPU streams iterated in
- * canonical interleaved order (the same order workloads::makeTrace
- * materialises for workload seed @p seed), without building the merged
- * trace. Results are identical to the merged-trace overloads.
- */
-SystemStudyResult runSystem(const std::vector<trace::Trace> &streams,
-                            const SystemStudyConfig &cfg, uint64_t seed,
-                            const PfAttach &attach = {});
-
-/**
- * Zero-materialization form: same canonical interleave, driven from a
- * StreamSet whose backing may be an mmap'd spill (consumed pages are
- * dropped behind the cursor). Results are byte-identical to the other
- * overloads by construction.
+ * Drive the system from per-CPU streams in the canonical interleaved
+ * order for workload seed @p seed (the order workloads::makeTrace
+ * materialises), whatever backs @p set — vectors or an mmap'd spill
+ * whose consumed pages are dropped behind the cursor.
+ *
+ * @param attach deploys a prefetcher onto the run's MemorySystem
+ *               before the first reference (empty = none); the handle
+ *               it returns is drained after the last reference,
+ *               before harvest.
  */
 SystemStudyResult runSystem(const trace::StreamSet &set,
                             const SystemStudyConfig &cfg, uint64_t seed,

@@ -7,7 +7,6 @@
 
 #include "obs/counters.hh"
 #include "obs/obs.hh"
-#include "trace/interleaver.hh"
 #include "trace/io.hh"
 #include "trace/lock.hh"
 #include "util/flat_map.hh"
@@ -102,35 +101,20 @@ TraceCache::viewSetImpl(const std::string &name,
                 "_" + std::to_string(p.refsPerCpu) + "_" +
                 std::to_string(p.seed) + ".stmt";
 
-        // replay: v4 spills hold one section per stream, so the fast
-        // path maps the file and hands out zero-copy views; the stdio
-        // path (STEMS_NO_MMAP=1, or mapping failed) materialises the
-        // sections instead. Either way the file is fully validated —
-        // header, section table, size, checksum — before any view
-        // escapes, so corruption is a replay miss, never a SIGBUS.
+        // replay: map it, or regenerate. v4 spills hold one section
+        // per stream and MappedTrace::open validates the whole file —
+        // header, section table, size, checksum, bool bytes — before
+        // any view escapes, so a spill that cannot be mapped or fails
+        // a check is a replay miss, never a SIGBUS or a wrong byte.
         auto tryReplay = [&]() -> bool {
             obs::Span span("trace_replay", {{"workload", name}});
-            try {
-                if (auto m = trace::MappedTrace::open(file, hash)) {
-                    if (m->numStreams() != p.ncpu)
-                        return false;
-                    obs::count(&obs::Counters::traceBytesMapped,
-                               m->bytes());
-                    s.set = trace::StreamSet::mapped(std::move(m));
-                    obs::count(&obs::Counters::traceSpillReplays);
-                    return true;
-                }
-                std::vector<trace::Trace> streams;
-                if (!trace::readTraceStreams(file, streams, hash) ||
-                    streams.size() != p.ncpu)
-                    return false;
-                s.set = trace::StreamSet::owned(std::move(streams));
-                obs::count(&obs::Counters::traceSpillReplays);
-                return true;
-            } catch (const std::exception &) {
-                // unreadable spill files fall back to live generation
+            auto m = trace::MappedTrace::open(file, hash);
+            if (!m || m->numStreams() != p.ncpu)
                 return false;
-            }
+            obs::count(&obs::Counters::traceBytesMapped, m->bytes());
+            s.set = trace::StreamSet::mapped(std::move(m));
+            obs::count(&obs::Counters::traceSpillReplays);
+            return true;
         };
 
         auto generate = [&] {
@@ -197,31 +181,6 @@ TraceCache::ready(const std::string &name,
     auto it = slots.find(key.str());
     return it != slots.end() &&
         it->second.prepared.load(std::memory_order_acquire);
-}
-
-const std::vector<trace::Trace> &
-TraceCache::streams(const std::string &name,
-                    const workloads::WorkloadParams &p)
-{
-    Slot &s = slot(name, p);
-    const trace::StreamSet &set = viewSetImpl(name, p, true);
-    if (const auto *v = set.vectors())
-        return *v;
-    // mapped backing: legacy callers need real vectors, copy out once
-    std::call_once(s.streamsOnce, [&] { s.streams = set.materialize(); });
-    return s.streams;
-}
-
-const trace::Trace &
-TraceCache::get(const std::string &name,
-                const workloads::WorkloadParams &p)
-{
-    Slot &s = slot(name, p);
-    const std::vector<trace::Trace> &st = streams(name, p);
-    std::call_once(s.mergedOnce, [&] {
-        s.merged = trace::canonicalInterleaver(p.seed).merge(st);
-    });
-    return s.merged;
 }
 
 const std::vector<std::string> &

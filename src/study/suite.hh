@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "trace/access.hh"
 #include "trace/stream.hh"
 #include "workloads/workload.hh"
 
@@ -44,25 +43,22 @@ uint64_t generatorConfigHash(const std::string &name,
  * Generates-once, reuses-thereafter trace storage for sweeps.
  *
  * The cache's unit of storage is a trace::StreamSet — per-CPU stream
- * views behind one ownership model. Freshly-generated workloads are
- * owned vectors; spill replay hands out a zero-copy mapped backing
- * (trace::MappedTrace) when possible, so replaying a cell never
- * materialises the trace at all. Zero-copy consumers
- * (study::runSystem, study::runL1Study, sim::runTiming) take the set
- * through viewSet(); streams()/get() are the legacy materialising
- * wrappers and copy a mapped backing out on first use. The merged
- * (interleaved) trace is materialised lazily only for callers that
- * need a flat trace.
+ * views behind one ownership model — and viewSet() is its one lookup.
+ * Freshly-generated workloads are owned vectors; spill replay hands
+ * out a zero-copy mapped backing (trace::MappedTrace), so replaying a
+ * cell never materialises the trace at all. Every consumer
+ * (study::runSystem, study::runL1Study, sim::runTiming) takes the set
+ * as is.
  *
  * Thread-safe: concurrent calls for the same key block until the
  * first caller finishes generating; returned references stay valid for
  * the cache's lifetime. With a spill directory set, generation is
  * replaced by record/replay through trace::writeTraceStreams /
- * MappedTrace::open (stdio fallback under STEMS_NO_MMAP=1) so
- * expensive workloads are generated once across processes. Spill
- * files embed generatorConfigHash(); mismatching, truncated, corrupt
- * or old-format files are rejected up front — before any view is
- * handed out — and regenerated.
+ * MappedTrace::open, so expensive workloads are generated once across
+ * processes. Replay is "map it, or regenerate": spill files embed
+ * generatorConfigHash(), and a file that is missing, mismatching,
+ * truncated, corrupt, of an old format or unmappable is rejected up
+ * front — before any view is handed out — and regenerated.
  */
 class TraceCache
 {
@@ -79,9 +75,8 @@ class TraceCache
     void setSpillDir(const std::string &dir);
 
     /**
-     * Stream views for suite entry @p name under @p p (cached) — the
-     * primary entry for zero-copy consumers. The returned set stays
-     * valid for the cache's lifetime.
+     * Stream views for suite entry @p name under @p p (cached). The
+     * returned set stays valid for the cache's lifetime.
      */
     const trace::StreamSet &
     viewSet(const std::string &name, const workloads::WorkloadParams &p);
@@ -98,24 +93,12 @@ class TraceCache
     bool ready(const std::string &name,
                const workloads::WorkloadParams &p);
 
-    /** Per-CPU streams, materialised (legacy callers; cached). */
-    const std::vector<trace::Trace> &
-    streams(const std::string &name, const workloads::WorkloadParams &p);
-
-    /** Interleaved trace for @p name under @p p (cached, lazy). */
-    const trace::Trace &get(const std::string &name,
-                            const workloads::WorkloadParams &p);
-
   private:
     struct Slot
     {
         std::once_flag setOnce;
-        std::once_flag streamsOnce;
-        std::once_flag mergedOnce;
         trace::StreamSet set;
         std::atomic<bool> prepared{false};
-        std::vector<trace::Trace> streams;  //!< mapped-set materialisation
-        trace::Trace merged;
     };
 
     Slot &slot(const std::string &name,

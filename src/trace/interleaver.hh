@@ -5,11 +5,12 @@
  * memory system observes.
  *
  * Two forms share one chunk schedule: Interleaver::merge materialises
- * a merged trace (serialization, tests), while InterleavedView walks
- * the original per-CPU streams in exactly the same global order
- * without copying them — the zero-copy form the simulation hot paths
- * (sim::runTiming, study::runSystem) iterate, saving a full trace of
- * resident memory per concurrent run.
+ * a merged trace (`stems trace` export, tests), while InterleavedView
+ * walks the original per-CPU streams in exactly the same global order
+ * without copying them. The view is the only form the studies and the
+ * timing model consume: each of study::runSystem, study::runL1Study
+ * and sim::runTiming takes a StreamSet, builds canonicalView() over
+ * it, and drives its model through InterleavedView::forEach.
  */
 
 #ifndef STEMS_TRACE_INTERLEAVER_HH
@@ -104,6 +105,26 @@ class InterleavedView
         spanNext += n;
         spanLeft = 0;
         return n;
+    }
+
+    /**
+     * The one drive loop of every trace consumer: call @p sink on each
+     * remaining access in span order, with a copy whose cpu field is
+     * restamped to its stream index.
+     */
+    template <typename Sink>
+    void
+    forEach(Sink &&sink)
+    {
+        const MemAccess *span;
+        uint32_t stream;
+        while (const size_t n = nextSpan(span, stream)) {
+            for (size_t k = 0; k < n; ++k) {
+                MemAccess a = span[k];
+                a.cpu = stream;
+                sink(a);
+            }
+        }
     }
 
     /** Total number of accesses across all streams. */

@@ -2,15 +2,11 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fcntl.h>
 #include <memory>
 #include <string>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include "fault/fault.hh"
-#include "trace/stream.hh"
 
 namespace stems::trace {
 
@@ -176,135 +172,6 @@ writeSections(const std::vector<const Trace *> &streams,
         tracePayloadOffset(static_cast<uint32_t>(streams.size())));
 }
 
-/**
- * Parse a complete .stmt image (header + records) from a contiguous
- * byte view into per-section traces. Shared by the buffered readers;
- * the mmap view path (trace/stream.cc) validates the same header via
- * parseTraceHeader and never decodes.
- */
-bool
-parseTraceImage(const unsigned char *data, size_t size,
-                std::vector<Trace> &out, uint64_t expected_hash)
-{
-    TraceFileHeader h;
-    if (!parseTraceHeader(data, size, h, expected_hash))
-        return false;
-    // corrupted record payloads must not replay: silently wrong
-    // references would break the byte-identity of dispatched reports
-    if (h.checksum != traceChecksum(data + h.payloadOffset,
-                                    size - h.payloadOffset))
-        return false;
-
-    out.clear();
-    out.resize(h.streamCounts.size());
-    const unsigned char *rec = data + h.payloadOffset;
-    for (size_t s = 0; s < h.streamCounts.size(); ++s) {
-        Trace &t = out[s];
-        t.reserve(h.streamCounts[s]);
-        for (uint64_t i = 0; i < h.streamCounts[s];
-             ++i, rec += sizeof(PackedAccess)) {
-            PackedAccess p;
-            std::memcpy(&p, rec, sizeof(p));
-            MemAccess a;
-            a.pc = p.pc;
-            a.addr = p.addr;
-            a.cpu = p.cpu;
-            a.ninst = p.ninst;
-            a.dep = p.dep;
-            a.size = p.size;
-            a.isWrite = p.isWrite != 0;
-            a.isKernel = p.isKernel != 0;
-            t.push_back(a);
-        }
-    }
-    return true;
-}
-
-/** Slurp @p path whole; false on open/short-read failure. */
-bool
-slurpFile(const std::string &path, std::vector<unsigned char> &image)
-{
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (!f)
-        return false;
-    if (std::fseek(f.get(), 0, SEEK_END) != 0)
-        return false;
-    const long fileSize = std::ftell(f.get());
-    if (fileSize < 0 || std::fseek(f.get(), 0, SEEK_SET) != 0)
-        return false;
-    image.resize(static_cast<size_t>(fileSize));
-    return image.empty() ||
-        std::fread(image.data(), 1, image.size(), f.get()) ==
-            image.size();
-}
-
-/**
- * mmap-backed read path: map the file as a read-only MAP_PRIVATE view
- * and parse records straight out of the page cache, so replay keeps
- * no second buffered copy of the file in userspace.
- *
- * @param usedMap set true when the file was mapped (parse outcome is
- *                then final); left false when mmap is unavailable and
- *                the caller must fall back to the buffered path.
- */
-bool
-readTraceMapped(const std::string &path, std::vector<Trace> &out,
-                uint64_t expected_hash, bool &usedMap)
-{
-    usedMap = false;
-    if (mmapDisabled())
-        return false;  // kill-switch: force the buffered path
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-
-    struct stat st;
-    if (::fstat(fd, &st) != 0) {
-        ::close(fd);
-        return false;  // stat failed: let stdio try
-    }
-    if (st.st_size < 0 ||
-        static_cast<uint64_t>(st.st_size) < kTraceHeaderBytes) {
-        ::close(fd);
-        usedMap = true;  // too short to be a trace however it is read
-        return false;
-    }
-
-    const size_t size = static_cast<size_t>(st.st_size);
-    void *map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (map == MAP_FAILED)
-        return false;  // e.g. filesystem without mmap: use stdio
-
-    usedMap = true;
-    const bool ok = parseTraceImage(
-        static_cast<const unsigned char *>(map), size, out,
-        expected_hash);
-    ::munmap(map, size);
-    return ok;
-}
-
-/** Shared front end of readTrace/readTraceStreams. */
-bool
-readSections(const std::string &path, std::vector<Trace> &out,
-             uint64_t expected_hash)
-{
-    // prefer the mmap view; fall back to buffered stdio only when the
-    // file cannot be mapped at all (or mapping is disabled)
-    bool usedMap = false;
-    const bool ok = readTraceMapped(path, out, expected_hash, usedMap);
-    if (usedMap || ok)
-        return ok;
-
-    // stdio fallback: slurp the image and run the one decoder, so
-    // both paths validate and decode the format identically
-    std::vector<unsigned char> image;
-    if (!slurpFile(path, image))
-        return false;
-    return parseTraceImage(image.data(), image.size(), out,
-                           expected_hash);
-}
-
 } // anonymous namespace
 
 uint64_t
@@ -333,6 +200,9 @@ parseTraceHeader(const unsigned char *data, size_t size,
     if (expected_hash != 0 && out.configHash != expected_hash)
         return false;
     if (nstreams == 0 || nstreams > kMaxStreams)
+        return false;
+    // the writer zeroes the padding word; every header byte is checked
+    if (loadField<uint32_t>(data + 36) != 0)
         return false;
     out.payloadOffset = tracePayloadOffset(nstreams);
     if (size < out.payloadOffset)
@@ -373,29 +243,6 @@ writeTraceStreams(const std::vector<Trace> &streams,
     for (const auto &t : streams)
         ptrs.push_back(&t);
     return writeSections(ptrs, path, config_hash, true);
-}
-
-bool
-readTrace(const std::string &path, Trace &out, uint64_t expected_hash)
-{
-    std::vector<Trace> sections;
-    if (!readSections(path, sections, expected_hash))
-        return false;
-    out.clear();
-    size_t total = 0;
-    for (const auto &s : sections)
-        total += s.size();
-    out.reserve(total);
-    for (const auto &s : sections)
-        out.insert(out.end(), s.begin(), s.end());
-    return true;
-}
-
-bool
-readTraceStreams(const std::string &path, std::vector<Trace> &out,
-                 uint64_t expected_hash)
-{
-    return readSections(path, out, expected_hash);
 }
 
 } // namespace stems::trace

@@ -23,6 +23,10 @@
  * into the mapped sections (records are byte-identical to MemAccess),
  * so consumption needs no demerge pass and no materialised copy.
  * Single-trace files are simply one-section files.
+ *
+ * This header only writes. The one reader is trace::MappedTrace::open
+ * (trace/stream.hh), which validates a file whole and hands out
+ * zero-copy views of its sections.
  */
 
 #ifndef STEMS_TRACE_IO_HH
@@ -102,23 +106,6 @@ bool writeTrace(const Trace &t, const std::string &path,
  */
 bool writeTraceStreams(const std::vector<Trace> &streams,
                        const std::string &path, uint64_t config_hash = 0);
-
-/**
- * Read a trace previously written by writeTrace(); multi-section
- * files come back concatenated in section order. Magic, version,
- * hash, section table and checksum are all validated.
- */
-bool readTrace(const std::string &path, Trace &out,
-               uint64_t expected_hash = 0);
-
-/**
- * Read a v4 file's sections into per-stream vectors: the materialised
- * replay fallback used when mapping is unavailable or disabled
- * (STEMS_NO_MMAP=1). Validation is identical to readTrace.
- */
-bool readTraceStreams(const std::string &path,
-                      std::vector<Trace> &out,
-                      uint64_t expected_hash = 0);
 
 } // namespace stems::trace
 

@@ -8,7 +8,7 @@
 #include "trace/stream.hh"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cstddef>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -43,19 +43,28 @@ dropPages(const unsigned char *begin, const unsigned char *end)
 /** Validation checksum chunk; bounds the resident window of the scan. */
 constexpr size_t kChecksumChunk = 8u << 20;
 
+static_assert(kChecksumChunk % sizeof(MemAccess) == 0,
+              "chunks must hold whole records");
+
 /** Page-drop stride for consumption cursors (see StreamView). */
 constexpr size_t kDropStride = 2u << 20;
 
-} // namespace
-
+/**
+ * Whether every record in the record-aligned run [p, p + n) stores
+ * isWrite and isKernel as 0 or 1. The records are handed out in place
+ * as MemAccess, so any other byte would load as an invalid bool.
+ */
 bool
-mmapDisabled()
+boolBytesValid(const unsigned char *p, size_t n)
 {
-    // read each call (unlike the cached STEMS_NO_SIMD probe) so tests
-    // can flip the kill-switch per-case with setenv/unsetenv
-    const char *v = std::getenv("STEMS_NO_MMAP");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
+    unsigned char seen = 0;
+    for (size_t off = offsetof(MemAccess, isWrite); off < n;
+         off += sizeof(MemAccess))
+        seen |= p[off] | p[off + 1];
+    return seen <= 1;
 }
+
+} // namespace
 
 MappedTrace::~MappedTrace()
 {
@@ -66,9 +75,6 @@ MappedTrace::~MappedTrace()
 std::shared_ptr<MappedTrace>
 MappedTrace::open(const std::string &path, uint64_t expected_hash)
 {
-    if (mmapDisabled())
-        return nullptr;
-
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0)
         return nullptr;
@@ -113,10 +119,11 @@ MappedTrace::open(const std::string &path, uint64_t expected_hash)
     ::madvise(mem, size, MADV_SEQUENTIAL);
     ::madvise(mem, size, MADV_WILLNEED);
 
-    // Full payload checksum before any view is handed out, streamed in
-    // chunks with pages dropped behind the scan so validating a
-    // multi-GB spill never spikes peak RSS (ru_maxrss is a high-water
-    // mark; one resident sweep would defeat the streaming budget).
+    // Full payload checksum and bool-byte check before any view is
+    // handed out, streamed in chunks with pages dropped behind the
+    // scan so validating a multi-GB spill never spikes peak RSS
+    // (ru_maxrss is a high-water mark; one resident sweep would defeat
+    // the streaming budget).
     uint64_t sum = traceChecksum(nullptr, 0);
     const unsigned char *p = data + h.payloadOffset;
     const unsigned char *end = data + size;
@@ -124,6 +131,8 @@ MappedTrace::open(const std::string &path, uint64_t expected_hash)
         const size_t n = std::min(kChecksumChunk,
                                   static_cast<size_t>(end - p));
         sum = traceChecksum(p, n, sum);
+        if (!boolBytesValid(p, n))
+            return fail();
         dropPages(data, p + n);
         p += n;
     }

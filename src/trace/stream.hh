@@ -18,16 +18,13 @@
  * across backings by construction: every consumer walks the canonical
  * interleave schedule over the same record bytes.
  *
- * The on-disk safety contract: MappedTrace::open validates the entire
+ * MappedTrace::open is the only .stmt reader. It validates the entire
  * file — magic, version, generator hash, section table, file size
- * revalidated after mapping, and the full payload checksum — before
- * any view is handed out, so a truncated or corrupted spill surfaces
- * as a clean replay failure (the TraceCache then regenerates), never
- * as a SIGBUS mid-simulation.
- *
- * STEMS_NO_MMAP=1 (mirroring STEMS_NO_SIMD) forces the materialised
- * fallback: spill replay then reads sections through buffered stdio
- * into owned vectors, and no file is ever mapped.
+ * revalidated after mapping, the full payload checksum, and that every
+ * record's bool bytes hold 0 or 1 — before any view is handed out, so
+ * a truncated, corrupted or hostile spill surfaces as a clean replay
+ * failure (the TraceCache then regenerates), never as a SIGBUS or an
+ * invalid bool mid-simulation.
  */
 
 #ifndef STEMS_TRACE_STREAM_HH
@@ -59,9 +56,6 @@ static_assert(offsetof(MemAccess, size) == 28);
 static_assert(offsetof(MemAccess, isWrite) == 30);
 static_assert(offsetof(MemAccess, isKernel) == 31);
 
-/** Whether STEMS_NO_MMAP=1 disables mapped trace views. */
-bool mmapDisabled();
-
 /**
  * A fully-validated read-only mapping of a .stmt spill file (format
  * v4, per-stream sections). open() refuses to hand out a mapping
@@ -79,9 +73,12 @@ class MappedTrace
      * Map and validate @p path. Returns null when the file is missing,
      * unmappable, truncated, of the wrong format version, carries a
      * different generator hash than @p expected_hash (0 = unchecked),
-     * or fails the payload checksum. The validation pass streams the
-     * payload with MADV_SEQUENTIAL/WILLNEED hints and drops pages
-     * behind itself, so validating a multi-GB spill never spikes RSS.
+     * fails the payload checksum, or holds a record whose isWrite or
+     * isKernel byte is neither 0 nor 1 (the checksum is no MAC, so a
+     * hostile file can always carry a valid one). The validation
+     * pass streams the payload with MADV_SEQUENTIAL/WILLNEED hints and
+     * drops pages behind itself, so validating a multi-GB spill never
+     * spikes RSS.
      */
     static std::shared_ptr<MappedTrace> open(const std::string &path,
                                              uint64_t expected_hash = 0);
@@ -245,20 +242,6 @@ class StreamSet
         if (borrowed_)
             return borrowed_;
         return hasOwned_ ? &owned_ : nullptr;
-    }
-
-    /** Copy a mapped backing out into vectors (legacy callers). */
-    std::vector<Trace>
-    materialize() const
-    {
-        if (const auto *v = vectors())
-            return *v;
-        std::vector<Trace> out(map_->numStreams());
-        for (size_t i = 0; i < out.size(); ++i) {
-            const MemAccess *d = map_->streamData(i);
-            out[i].assign(d, d + map_->streamCount(i));
-        }
-        return out;
     }
 
   private:

@@ -19,6 +19,7 @@
 #include "driver/runner.hh"
 #include "driver/spec.hh"
 #include "sim/timing.hh"
+#include "stream_helpers.hh"
 #include "study/l1study.hh"
 #include "workloads/graph.hh"
 #include "study/suite.hh"
@@ -385,11 +386,13 @@ TEST(TraceCache, SpillDirRoundTripsTraces)
 
     study::TraceCache writer;
     writer.setSpillDir(dir);
-    const trace::Trace &generated = writer.get("graph", p);
+    const trace::Trace generated =
+        test::interleave(writer.viewSet("graph", p), p.seed);
 
     study::TraceCache reader;
     reader.setSpillDir(dir);
-    const trace::Trace &replayed = reader.get("graph", p);
+    const trace::Trace replayed =
+        test::interleave(reader.viewSet("graph", p), p.seed);
     ASSERT_EQ(generated.size(), replayed.size());
     EXPECT_TRUE(generated == replayed);
     std::filesystem::remove_all(dir);
@@ -476,7 +479,7 @@ TEST(TraceIo, RejectsCorruptCountInsteadOfThrowing)
         f.write(reinterpret_cast<const char *>(&huge), sizeof(huge));
     }
     trace::Trace out;
-    EXPECT_FALSE(trace::readTrace(path, out));
+    EXPECT_FALSE(test::mapTrace(path, out));
     std::filesystem::remove_all(dir);
 }
 
@@ -495,7 +498,7 @@ TEST(TraceIo, RejectsOldFormatVersion)
         f.write(reinterpret_cast<const char *>(&old), sizeof(old));
     }
     trace::Trace out;
-    EXPECT_FALSE(trace::readTrace(path, out));
+    EXPECT_FALSE(test::mapTrace(path, out));
     std::filesystem::remove_all(dir);
 }
 
@@ -507,9 +510,9 @@ TEST(TraceIo, RejectsGeneratorConfigHashMismatch)
     ASSERT_TRUE(trace::writeTrace(t, path, 0xabcdef));
 
     trace::Trace out;
-    EXPECT_TRUE(trace::readTrace(path, out, 0xabcdef));  // matching
-    EXPECT_TRUE(trace::readTrace(path, out));            // unchecked
-    EXPECT_FALSE(trace::readTrace(path, out, 0x123456)); // stale
+    EXPECT_TRUE(test::mapTrace(path, out, 0xabcdef));  // matching
+    EXPECT_TRUE(test::mapTrace(path, out));            // unchecked
+    EXPECT_FALSE(test::mapTrace(path, out, 0x123456)); // stale
     std::filesystem::remove_all(dir);
 }
 
@@ -523,7 +526,8 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
 
     study::TraceCache writer;
     writer.setSpillDir(dir);
-    const trace::Trace live = writer.get("graph", p);
+    const trace::Trace live =
+        test::interleave(writer.viewSet("graph", p), p.seed);
 
     // sabotage the spill: same shape, wrong generator fingerprint
     std::string file;
@@ -538,18 +542,18 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
     // a fresh cache must reject the stale file and regenerate
     study::TraceCache reader;
     reader.setSpillDir(dir);
-    const trace::Trace &regenerated = reader.get("graph", p);
+    const trace::Trace regenerated =
+        test::interleave(reader.viewSet("graph", p), p.seed);
     EXPECT_TRUE(live == regenerated);
 
     // ... and the rewritten spill now carries the correct hash again;
     // v4 spills hold per-stream sections, so the merged trace is
     // recovered through the canonical interleave
-    std::vector<trace::Trace> sections;
-    EXPECT_TRUE(
-        trace::readTraceStreams(file, sections,
-                                study::generatorConfigHash("graph", p)));
+    auto m = trace::MappedTrace::open(
+        file, study::generatorConfigHash("graph", p));
+    ASSERT_NE(m, nullptr);
     const trace::Trace replay =
-        trace::canonicalInterleaver(p.seed).merge(sections);
+        test::interleave(trace::StreamSet::mapped(m), p.seed);
     EXPECT_TRUE(live == replay);
     std::filesystem::remove_all(dir);
 }
@@ -842,7 +846,7 @@ TEST(TimingPipeline, SmsThroughGenericSeamMatchesDirectController)
     tc.sys = spec.sys;
     std::unique_ptr<PrefetcherDeployment> dep;
     auto direct = sim::runTiming(
-        streams, tc, spec.params.seed,
+        trace::StreamSet::borrowed(streams), tc, spec.params.seed,
         [&](mem::MemorySystem &sys) -> study::AttachedPrefetcher * {
             dep = PrefetcherRegistry::builtin().create("sms", sys, {});
             return dep.get();
@@ -1072,7 +1076,8 @@ TEST(TrainerAxis, SweepMatchesDirectL1StudyAndIsDeterministic)
         cfg.trainer = kinds[i];
         cfg.sms.pht.entries = 0;
         cfg.sms.agt = {0, 0};
-        auto direct = study::runL1Study(traces.get("sparse", p), cfg);
+        auto direct =
+            study::runL1Study(traces.viewSet("sparse", p), cfg, p.seed);
         EXPECT_EQ(r1[i].metrics.l1Covered(), direct.coveredReads)
             << trainerName(kinds[i]);
         EXPECT_EQ(r1[i].metrics.l1ReadMisses(), direct.readMisses);

@@ -4,7 +4,7 @@
  * deterministic firing decisions, first-attempt-only vs :always
  * semantics, the legacy STEMS_DISPATCH_* hook mapping, and the spill
  * faults (enospc write failure, corrupt-spill byte flip) observed
- * through the .stmt writer/reader.
+ * through the .stmt writer and MappedTrace::open.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "obs/counters.hh"
 #include "trace/access.hh"
 #include "trace/io.hh"
+#include "stream_helpers.hh"
 
 using namespace stems;
 using namespace stems::fault;
@@ -252,7 +253,7 @@ TEST(FaultLegacy, EnvPlanAndHooksCompose)
 }
 
 // ---------------------------------------------------------------------
-// spill faults through the .stmt writer/reader
+// spill faults through the .stmt writer and MappedTrace::open
 // ---------------------------------------------------------------------
 
 TEST(FaultSpill, EnospcFailsTheWrite)
@@ -276,7 +277,7 @@ TEST(FaultSpill, CorruptSpillIsCaughtByTheChecksum)
     // modelling bit rot / a torn device write
     ASSERT_TRUE(trace::writeTrace(t, path));
     trace::Trace out;
-    EXPECT_FALSE(trace::readTrace(path, out))
+    EXPECT_FALSE(test::mapTrace(path, out))
         << "corrupted spill must be rejected, not replayed";
     EXPECT_GE(counterValue("faults_injected"), 1u);
     std::remove(path.c_str());
@@ -291,7 +292,7 @@ TEST(FaultSpill, ProbabilityZeroNeverFires)
     trace::Trace t = smallTrace(16);
     ASSERT_TRUE(trace::writeTrace(t, path));
     trace::Trace out;
-    EXPECT_TRUE(trace::readTrace(path, out));
+    EXPECT_TRUE(test::mapTrace(path, out));
     EXPECT_EQ(out.size(), t.size());
     std::remove(path.c_str());
 }
@@ -305,6 +306,6 @@ TEST(FaultSpill, InactivePlanLeavesSpillsAlone)
     trace::Trace t = smallTrace(16);
     ASSERT_TRUE(trace::writeTrace(t, path));
     trace::Trace out;
-    EXPECT_TRUE(trace::readTrace(path, out));
+    EXPECT_TRUE(test::mapTrace(path, out));
     std::remove(path.c_str());
 }

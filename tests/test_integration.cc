@@ -5,6 +5,7 @@
 #include "core/sms.hh"
 #include "driver/registry.hh"
 #include "sim/timing.hh"
+#include "stream_helpers.hh"
 #include "study/l1study.hh"
 #include "study/memstudy.hh"
 #include "study/suite.hh"
@@ -36,15 +37,16 @@ TEST_P(SuiteSystem, SmsNeverIncreasesReadMissesMuch)
 {
     auto w = workloads::findWorkload(GetParam())->make();
     auto p = tinyParams();
-    trace::Trace t = workloads::makeTrace(*w, p);
+    const auto streams = w->generateStreams(p);
+    const auto set = trace::StreamSet::borrowed(streams);
 
     SystemStudyConfig base;
     base.sys.ncpu = p.ncpu;
-    auto rb = runSystem(t, base);
+    auto rb = runSystem(set, base, p.seed);
 
-    SystemStudyConfig sms = base;
-    sms.pf = PfKind::Sms;
-    auto rs = runSystem(t, sms);
+    std::unique_ptr<driver::PrefetcherDeployment> sms;
+    auto rs = runSystem(set, base, p.seed,
+                        driver::registryAttach("sms", sms));
 
     // pollution may add a few misses, but never catastrophe
     EXPECT_LT(rs.l1ReadMisses, rb.l1ReadMisses * 1.25) << GetParam();
@@ -59,12 +61,13 @@ TEST_P(SuiteSystem, TimingSpeedupWithinSaneBounds)
     auto w = workloads::findWorkload(GetParam())->make();
     auto p = tinyParams(4, 4000);
     auto streams = w->generateStreams(p);
+    const auto set = trace::StreamSet::borrowed(streams);
 
     sim::TimingConfig tc;
     tc.sys.ncpu = p.ncpu;
-    auto rb = sim::runTiming(streams, tc, 1);
+    auto rb = sim::runTiming(set, tc, 1);
     std::unique_ptr<driver::PrefetcherDeployment> dep;
-    auto rs = sim::runTiming(streams, tc, 1,
+    auto rs = sim::runTiming(set, tc, 1,
                              driver::registryAttach("sms", dep));
 
     double speedup = rs.uipc() / rb.uipc();
@@ -90,30 +93,34 @@ TEST(Integration, ShadowL1MatchesMemSysL1OnPrivateStreams)
         a.addr = (0x1000000ULL << a.cpu) + rng.below(1 << 18);
         t.push_back(a);
     }
+    const auto streams = test::splitByCpu(t, 2);
+    const auto set = trace::StreamSet::borrowed(streams);
     L1StudyConfig sc;
     sc.ncpu = 2;
     sc.prefetch = false;
-    auto shadow = runL1Study(t, sc);
+    auto shadow = runL1Study(set, sc, 1);
 
     SystemStudyConfig mc;
     mc.sys.ncpu = 2;
     mc.sys.l2 = {16 * 1024 * 1024, 16, 64, mem::ReplKind::LRU};
-    auto full = runSystem(t, mc);
+    auto full = runSystem(set, mc, 1);
     EXPECT_EQ(shadow.readMisses, full.l1ReadMisses);
 }
 
 TEST(Integration, CoverageIdentityOnSuiteWorkload)
 {
     auto w = workloads::findWorkload("Zeus")->make();
-    trace::Trace t = workloads::makeTrace(*w, tinyParams());
+    const auto p = tinyParams();
+    const auto streams = w->generateStreams(p);
+    const auto set = trace::StreamSet::borrowed(streams);
 
     L1StudyConfig base;
     base.ncpu = 4;
     base.prefetch = false;
-    auto rb = runL1Study(t, base);
+    auto rb = runL1Study(set, base, p.seed);
     L1StudyConfig sms = base;
     sms.prefetch = true;
-    auto rs = runL1Study(t, sms);
+    auto rs = runL1Study(set, sms, p.seed);
 
     // every baseline read miss is either still a miss or was covered
     // (pollution can only add misses, never remove them uncovered)
@@ -126,19 +133,20 @@ TEST(Integration, OracleBoundsRealSmsCoverage)
     // what SMS actually achieves at the same region size
     auto w = workloads::findWorkload("sparse")->make();
     auto p = tinyParams(4, 20000);
-    trace::Trace t = workloads::makeTrace(*w, p);
+    const auto streams = w->generateStreams(p);
+    const auto set = trace::StreamSet::borrowed(streams);
 
     SystemStudyConfig base;
     base.sys.ncpu = 4;
     base.oracleRegionSizes = {2048};
-    auto rb = runSystem(t, base);
+    auto rb = runSystem(set, base, p.seed);
     uint64_t oracle_covered = rb.l1ReadMisses > rb.oracleL1Gens[0]
                                   ? rb.l1ReadMisses - rb.oracleL1Gens[0]
                                   : 0;
 
-    SystemStudyConfig sms = base;
-    sms.pf = PfKind::Sms;
-    auto rs = runSystem(t, sms);
+    std::unique_ptr<driver::PrefetcherDeployment> sms;
+    auto rs = runSystem(set, base, p.seed,
+                        driver::registryAttach("sms", sms));
     EXPECT_LE(rs.l1Covered, oracle_covered + rb.l1ReadMisses / 20)
         << "SMS cannot beat the oracle (modulo write-covered slack)";
 }
@@ -155,8 +163,9 @@ TEST(Integration, HigherMemLatencyNeverSpeedsThingsUp)
     sim::TimingConfig slow = fast;
     slow.core.memLatency = 480;
 
-    auto rf = sim::runTiming(streams, fast, 1);
-    auto rs = sim::runTiming(streams, slow, 1);
+    const auto set = trace::StreamSet::borrowed(streams);
+    auto rf = sim::runTiming(set, fast, 1);
+    auto rs = sim::runTiming(set, slow, 1);
     EXPECT_LE(rf.cycles, rs.cycles);
 }
 
@@ -172,21 +181,24 @@ TEST(Integration, WiderCoreNeverSlower)
     sim::TimingConfig wide = narrow;
     wide.core.width = 8;
 
-    auto rn = sim::runTiming(streams, narrow, 1);
-    auto rw = sim::runTiming(streams, wide, 1);
+    const auto set = trace::StreamSet::borrowed(streams);
+    auto rn = sim::runTiming(set, narrow, 1);
+    auto rw = sim::runTiming(set, wide, 1);
     EXPECT_GE(rn.cycles, rw.cycles * 0.999);
 }
 
 TEST(Integration, UnboundedPhtDominatesBoundedCoverage)
 {
     auto w = workloads::findWorkload("Apache")->make();
-    trace::Trace t = workloads::makeTrace(*w, tinyParams());
+    const auto p = tinyParams();
+    const auto streams = w->generateStreams(p);
 
     auto run_with_pht = [&](uint32_t entries) {
         L1StudyConfig cfg;
         cfg.ncpu = 4;
         cfg.sms.pht.entries = entries;
-        return runL1Study(t, cfg).coveredReads;
+        return runL1Study(trace::StreamSet::borrowed(streams), cfg, p.seed)
+            .coveredReads;
     };
     uint64_t tiny = run_with_pht(256);
     uint64_t infinite = run_with_pht(0);

@@ -489,9 +489,10 @@ TEST(ServeTransport, SocketDispatchMatchesInProcess)
 
 TEST(ServeTransport, SocketDispatchSurvivesSeededWorkerCrash)
 {
-    // 4 cells on 2 workers: the cell-0 crash leaves more pending
-    // work than the surviving worker can absorb, forcing a respawn
-    // through the spawn-cmd template
+    // 4 cells on one worker endpoint: the cell-0 crash leaves no live
+    // worker, so the run can only finish through a respawn via the
+    // spawn-cmd template (with a second endpoint the survivor could
+    // drain the queue first and no respawn would be needed)
     const std::vector<std::string> tokens = {
         "workloads=sparse,graph", "prefetchers=sms,none", "ncpu=4",
         "refs=3000", "seed=17", "wall=0"};
@@ -500,6 +501,7 @@ TEST(ServeTransport, SocketDispatchSurvivesSeededWorkerCrash)
     obs::Counters::get().reset();
     ScopedEnv plan("STEMS_FAULTS", "crash=cell:0");
     ExperimentSpec spec = socketDispatchSpec("fault", tokens);
+    spec.dispatchWorkers = "unix:" + tempPath("fault") + "_w1.sock";
     const std::string dispatched =
         toJson(spec, dispatch::runSpec(spec));
     EXPECT_EQ(expected, dispatched);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Streaming trace pipeline tests: v4 mapped spills vs materialised
- * replay must be bit-identical through every consumer (system study,
- * L1 study, timing model, every registry engine), the STEMS_NO_MMAP
- * kill-switch must force the stdio fallback, truncated or corrupt
- * spills must be rejected before any view is handed out, and the
+ * Streaming trace pipeline tests: a mapped v4 spill (the one .stmt
+ * read path) and borrowed in-memory streams must be bit-identical
+ * through every consumer (system study, L1 study, timing model, every
+ * registry engine); truncated, corrupt or hostile spills must be
+ * rejected by MappedTrace::open before any view is handed out; and the
  * background streamer must never change a report byte — across thread
  * counts and across the dispatch wire.
  */
@@ -13,8 +13,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <unistd.h>
 
 #include "dispatch/coordinator.hh"
@@ -25,6 +27,7 @@
 #include "driver/spec.hh"
 #include "obs/counters.hh"
 #include "sim/timing.hh"
+#include "stream_helpers.hh"
 #include "study/l1study.hh"
 #include "study/memstudy.hh"
 #include "study/suite.hh"
@@ -135,26 +138,6 @@ TEST(StreamIo, InterleavedViewOverMappedMatchesVectors)
     std::filesystem::remove_all(dir);
 }
 
-TEST(StreamIo, StreamSetMaterializeEqualsMappedSections)
-{
-    const std::string dir = tempDir("mat");
-    auto streams = makeStreams("sparse", 2, 1000, 9);
-    auto m = spillAndMap(streams, dir + "/t.stmt");
-    ASSERT_NE(m, nullptr);
-
-    auto copy = trace::StreamSet::mapped(m).materialize();
-    ASSERT_EQ(copy.size(), streams.size());
-    for (size_t s = 0; s < streams.size(); ++s) {
-        ASSERT_EQ(copy[s].size(), streams[s].size());
-        for (size_t i = 0; i < copy[s].size(); ++i) {
-            trace::MemAccess want = streams[s][i];
-            want.cpu = static_cast<uint32_t>(s);
-            ASSERT_TRUE(sameAccess(copy[s][i], want));
-        }
-    }
-    std::filesystem::remove_all(dir);
-}
-
 // ---------------------------------------------------------------------
 // bit-identity across engines and consumers
 // ---------------------------------------------------------------------
@@ -173,8 +156,8 @@ TEST(StreamEquivalence, SystemStudyEveryEngineMappedVsVectors)
         scfg.oracleRegionSizes = {1024};
 
         std::unique_ptr<PrefetcherDeployment> d1, d2;
-        auto live = study::runSystem(
-            streams, scfg, 7, registryAttach(engine, d1, {}));
+        auto live = study::runSystem(trace::StreamSet::borrowed(streams),
+                                     scfg, 7, registryAttach(engine, d1, {}));
         auto view = study::runSystem(
             mapped, scfg, 7, registryAttach(engine, d2, {}));
 
@@ -206,8 +189,8 @@ TEST(StreamEquivalence, TimingEveryEngineMappedVsVectors)
         tc.sys.ncpu = 2;
 
         std::unique_ptr<PrefetcherDeployment> d1, d2;
-        auto live =
-            sim::runTiming(streams, tc, 3, registryAttach(engine, d1, {}));
+        auto live = sim::runTiming(trace::StreamSet::borrowed(streams), tc,
+                                   3, registryAttach(engine, d1, {}));
         auto view =
             sim::runTiming(mapped, tc, 3, registryAttach(engine, d2, {}));
 
@@ -231,15 +214,16 @@ TEST(StreamEquivalence, L1StudyMappedVsMergedTrace)
     auto m = spillAndMap(streams, dir + "/t.stmt");
     ASSERT_NE(m, nullptr);
 
-    const trace::Trace merged =
-        trace::canonicalInterleaver(19).merge(streams);
+    // the borrowed vectors are what the merged trace is made from; the
+    // mapped spill must drive the shadow pipeline identically
+    const trace::StreamSet borrowed = trace::StreamSet::borrowed(streams);
 
     for (bool prefetch : {false, true}) {
         study::L1StudyConfig lcfg;
         lcfg.ncpu = 2;
         lcfg.prefetch = prefetch;
 
-        auto live = study::runL1Study(merged, lcfg);
+        auto live = study::runL1Study(borrowed, lcfg, 19);
         auto view =
             study::runL1Study(trace::StreamSet::mapped(m), lcfg, 19);
 
@@ -255,97 +239,53 @@ TEST(StreamEquivalence, L1StudyMappedVsMergedTrace)
 }
 
 // ---------------------------------------------------------------------
-// kill-switch + stdio fallback
-// ---------------------------------------------------------------------
-
-TEST(StreamKillSwitch, NoMmapForcesStdioFallbackWithSameResults)
-{
-    const std::string dir = tempDir("nommap");
-    const std::string file = dir + "/t.stmt";
-    auto streams = makeStreams("sparse", 2, 1500, 23);
-    ASSERT_TRUE(trace::writeTraceStreams(streams, file));
-
-    ASSERT_EQ(::setenv("STEMS_NO_MMAP", "1", 1), 0);
-    EXPECT_TRUE(trace::mmapDisabled());
-    // the mapped path refuses outright...
-    EXPECT_EQ(trace::MappedTrace::open(file), nullptr);
-    // ...and the stdio reader still replays the same records
-    std::vector<trace::Trace> sections;
-    ASSERT_TRUE(trace::readTraceStreams(file, sections));
-    ::unsetenv("STEMS_NO_MMAP");
-    EXPECT_FALSE(trace::mmapDisabled());
-
-    auto mapped = trace::MappedTrace::open(file);
-    ASSERT_NE(mapped, nullptr);
-    ASSERT_EQ(sections.size(), mapped->numStreams());
-    for (size_t s = 0; s < sections.size(); ++s) {
-        ASSERT_EQ(sections[s].size(), mapped->streamCount(s));
-        for (size_t i = 0; i < sections[s].size(); ++i)
-            ASSERT_TRUE(sameAccess(sections[s][i],
-                                   mapped->streamData(s)[i]));
-    }
-    std::filesystem::remove_all(dir);
-}
-
-TEST(StreamKillSwitch, TraceCacheReplayFallsBackUnderNoMmap)
-{
-    const std::string dir = tempDir("cachenommap");
-    workloads::WorkloadParams p;
-    p.ncpu = 2;
-    p.refsPerCpu = 1500;
-    p.seed = 3;
-
-    study::TraceCache writer;
-    writer.setSpillDir(dir);
-    const trace::Trace live = writer.get("graph", p);
-
-    // replay with mapping disabled: the set must be vector-backed and
-    // replay the exact same interleaved reference sequence
-    ASSERT_EQ(::setenv("STEMS_NO_MMAP", "1", 1), 0);
-    {
-        study::TraceCache reader;
-        reader.setSpillDir(dir);
-        const trace::StreamSet &set = reader.viewSet("graph", p);
-        EXPECT_FALSE(set.isMapped());
-        EXPECT_TRUE(live ==
-                    trace::canonicalInterleaver(p.seed)
-                        .merge(set.materialize()));
-    }
-    ::unsetenv("STEMS_NO_MMAP");
-
-    // and with mapping enabled the same spill replays zero-copy
-    study::TraceCache reader;
-    reader.setSpillDir(dir);
-    const trace::StreamSet &set = reader.viewSet("graph", p);
-    EXPECT_TRUE(set.isMapped());
-    EXPECT_TRUE(live ==
-                trace::canonicalInterleaver(p.seed)
-                    .merge(set.materialize()));
-    std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
 // truncation / corruption safety
 // ---------------------------------------------------------------------
+
+namespace {
+
+/** Read @p file whole. */
+std::vector<char>
+fileBytes(const std::string &file)
+{
+    std::ifstream in(file, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Replace @p file's contents with @p bytes. */
+void
+putBytes(const std::string &file, const std::vector<char> &bytes)
+{
+    std::ofstream out(file, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+} // anonymous namespace
 
 TEST(StreamSafety, TruncatedPayloadRejectedBeforeAnyView)
 {
     const std::string dir = tempDir("trunc");
     const std::string file = dir + "/t.stmt";
     auto streams = makeStreams("sparse", 2, 1200, 29);
-    ASSERT_TRUE(trace::writeTraceStreams(streams, file));
+    ASSERT_TRUE(trace::writeTraceStreams(streams, file, 0x99));
     const auto full = std::filesystem::file_size(file);
+    const std::vector<char> good = fileBytes(file);
 
     // mid-file truncation: drop the tail half (not even record-aligned)
     std::filesystem::resize_file(file, full / 2 + 13);
     EXPECT_EQ(trace::MappedTrace::open(file), nullptr);
-    std::vector<trace::Trace> sections;
-    EXPECT_FALSE(trace::readTraceStreams(file, sections));
 
     // shorter than the fixed header prefix
     std::filesystem::resize_file(file, trace::kTraceHeaderBytes / 2);
     EXPECT_EQ(trace::MappedTrace::open(file), nullptr);
-    EXPECT_FALSE(trace::readTraceStreams(file, sections));
+
+    // every length from empty through the header and section table
+    for (size_t len = 0; len <= trace::tracePayloadOffset(2); ++len) {
+        putBytes(file, std::vector<char>(good.begin(), good.begin() + len));
+        EXPECT_EQ(trace::MappedTrace::open(file, 0x99), nullptr) << len;
+        EXPECT_EQ(trace::MappedTrace::open(file), nullptr) << len;
+    }
     std::filesystem::remove_all(dir);
 }
 
@@ -368,8 +308,6 @@ TEST(StreamSafety, FlippedPayloadByteRejectedByChecksum)
         f.put(static_cast<char>(c ^ 0x40));
     }
     EXPECT_EQ(trace::MappedTrace::open(file), nullptr);
-    std::vector<trace::Trace> sections;
-    EXPECT_FALSE(trace::readTraceStreams(file, sections));
     std::filesystem::remove_all(dir);
 }
 
@@ -383,7 +321,8 @@ TEST(StreamSafety, TraceCacheRegeneratesOverTruncatedSpill)
 
     study::TraceCache writer;
     writer.setSpillDir(dir);
-    const trace::Trace live = writer.get("graph", p);
+    const trace::Trace live =
+        test::interleave(writer.viewSet("graph", p), p.seed);
 
     std::string file;
     for (const auto &e : std::filesystem::directory_iterator(dir))
@@ -398,11 +337,66 @@ TEST(StreamSafety, TraceCacheRegeneratesOverTruncatedSpill)
     study::TraceCache reader;
     reader.setSpillDir(dir);
     const trace::StreamSet &set = reader.viewSet("graph", p);
-    EXPECT_TRUE(live ==
-                trace::canonicalInterleaver(p.seed)
-                    .merge(set.materialize()));
+    EXPECT_TRUE(live == test::interleave(set, p.seed));
     EXPECT_GT(std::filesystem::file_size(file),
               trace::tracePayloadOffset(2));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StreamSafety, HostileBoolByteWithValidChecksumRejected)
+{
+    // FNV is no MAC: a hostile spill can store isWrite/isKernel as 2
+    // and carry a recomputed, valid checksum. Mapped records are read
+    // in place as MemAccess, so open must refuse such a file rather
+    // than hand out views that load invalid bools.
+    const std::string dir = tempDir("hostile");
+    const std::string file = dir + "/t.stmt";
+    auto streams = makeStreams("sparse", 2, 600, 37);
+    ASSERT_TRUE(trace::writeTraceStreams(streams, file, 0x77));
+    const std::vector<char> good = fileBytes(file);
+    ASSERT_NE(trace::MappedTrace::open(file, 0x77), nullptr);
+
+    const size_t payload = trace::tracePayloadOffset(2);
+    const size_t records = (good.size() - payload) / 32;
+    const size_t checksumAt = 24;  // magic, version, hash, count
+    for (size_t rec : {size_t{0}, records / 2, records - 1}) {
+        for (size_t field : {size_t{30}, size_t{31}}) {  // isWrite, isKernel
+            std::vector<char> bad = good;
+            bad[payload + rec * 32 + field] = 2;
+            const uint64_t sum = trace::traceChecksum(
+                reinterpret_cast<const unsigned char *>(bad.data()) +
+                    payload,
+                bad.size() - payload);
+            std::memcpy(bad.data() + checksumAt, &sum, sizeof(sum));
+            putBytes(file, bad);
+            EXPECT_EQ(trace::MappedTrace::open(file, 0x77), nullptr)
+                << "record " << rec << " byte " << field;
+        }
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StreamSafety, EveryFlippedHeaderByteRejected)
+{
+    // one flipped byte anywhere in the header or section table is
+    // rejected. The generator hash is only checked when the reader
+    // names one, which every replay site does.
+    const std::string dir = tempDir("hdrflip");
+    const std::string file = dir + "/t.stmt";
+    auto streams = makeStreams("graph", 3, 200, 43);
+    ASSERT_TRUE(trace::writeTraceStreams(streams, file, 0x55));
+    const std::vector<char> good = fileBytes(file);
+    const size_t payload = trace::tracePayloadOffset(3);
+
+    for (size_t at = 0; at < payload; ++at) {
+        for (unsigned char mask : {0x01, 0x80, 0xff}) {
+            std::vector<char> bad = good;
+            bad[at] = static_cast<char>(bad[at] ^ mask);
+            putBytes(file, bad);
+            EXPECT_EQ(trace::MappedTrace::open(file, 0x55), nullptr)
+                << "offset " << at << " mask " << int(mask);
+        }
+    }
     std::filesystem::remove_all(dir);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "driver/registry.hh"
+#include "stream_helpers.hh"
 #include "study/density.hh"
 #include "study/l1study.hh"
 #include "study/memstudy.hh"
@@ -35,6 +37,27 @@ patternedTrace(uint32_t ncpu, uint32_t regions, uint64_t stride = 2048)
     return t;
 }
 
+/** Workload seed of the hand-built traces' canonical interleave. */
+constexpr uint64_t kSeed = 1;
+
+/** The L1 study over @p t split into per-CPU streams. */
+L1StudyResult
+runL1(const trace::Trace &t, const L1StudyConfig &cfg)
+{
+    const auto streams = test::splitByCpu(t, cfg.ncpu);
+    return runL1Study(trace::StreamSet::borrowed(streams), cfg, kSeed);
+}
+
+/** The system study over @p t split into per-CPU streams. */
+SystemStudyResult
+runSys(const trace::Trace &t, const SystemStudyConfig &cfg,
+       const PfAttach &attach = {})
+{
+    const auto streams = test::splitByCpu(t, cfg.sys.ncpu);
+    return runSystem(trace::StreamSet::borrowed(streams), cfg, kSeed,
+                     attach);
+}
+
 } // anonymous namespace
 
 TEST(L1Study, BaselineHasNoCoverage)
@@ -42,7 +65,7 @@ TEST(L1Study, BaselineHasNoCoverage)
     L1StudyConfig cfg;
     cfg.ncpu = 2;
     cfg.prefetch = false;
-    auto r = runL1Study(patternedTrace(2, 400), cfg);
+    auto r = runL1(patternedTrace(2, 400), cfg);
     EXPECT_EQ(r.coveredReads, 0u);
     EXPECT_EQ(r.overpredictions, 0u);
     EXPECT_GT(r.readMisses, 0u);
@@ -54,11 +77,11 @@ TEST(L1Study, SmsCoversRepeatingPattern)
     base.ncpu = 2;
     base.prefetch = false;
     trace::Trace t = patternedTrace(2, 1500);
-    auto rb = runL1Study(t, base);
+    auto rb = runL1(t, base);
 
     L1StudyConfig sms = base;
     sms.prefetch = true;
-    auto rs = runL1Study(t, sms);
+    auto rs = runL1(t, sms);
 
     EXPECT_GT(rs.coveredReads, rb.readMisses / 2)
         << "a fixed 4-block pattern must be highly covered";
@@ -74,7 +97,7 @@ TEST(L1Study, InstructionsCounted)
     cfg.ncpu = 2;
     cfg.prefetch = false;
     trace::Trace t = patternedTrace(2, 10);
-    auto r = runL1Study(t, cfg);
+    auto r = runL1(t, cfg);
     EXPECT_EQ(r.instructions, t.size() * 4);  // ninst=3 + the ref
     EXPECT_EQ(r.readAccesses, t.size());
 }
@@ -87,7 +110,7 @@ TEST(L1Study, TrainerVariantsAllProduceCoverage)
         L1StudyConfig cfg;
         cfg.ncpu = 2;
         cfg.trainer = k;
-        auto r = runL1Study(t, cfg);
+        auto r = runL1(t, cfg);
         EXPECT_GT(r.coveredReads, 100u) << trainerName(k);
     }
 }
@@ -115,12 +138,12 @@ TEST(L1Study, DsSeesMoreMissesThanTraditional)
     L1StudyConfig trad;
     trad.ncpu = 1;
     trad.prefetch = false;
-    auto rt = runL1Study(t, trad);
+    auto rt = runL1(t, trad);
 
     L1StudyConfig ds = trad;
     ds.trainer = TrainerKind::DecoupledSectored;
     ds.prefetch = true;
-    auto rd = runL1Study(t, ds);
+    auto rd = runL1(t, ds);
     EXPECT_GT(rd.readMisses, rt.readMisses);
 }
 
@@ -169,7 +192,7 @@ TEST(SystemStudy, OracleOpportunityGrowsWithRegionSize)
     cfg.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
     cfg.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
     cfg.oracleRegionSizes = {128, 2048, 8192};
-    auto r = runSystem(t, cfg);
+    auto r = runSys(t, cfg);
     EXPECT_GT(r.oracleL1Gens[0], r.oracleL1Gens[1]);
     EXPECT_GE(r.oracleL1Gens[1], r.oracleL1Gens[2]);
     EXPECT_LE(r.oracleL1Gens[1], r.l1ReadMisses);
@@ -182,12 +205,12 @@ TEST(SystemStudy, SmsProducesOffChipCoverage)
     base.sys.ncpu = 2;
     base.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
     base.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
-    auto rb = runSystem(t, base);
+    auto rb = runSys(t, base);
 
-    SystemStudyConfig sms = base;
-    sms.pf = PfKind::Sms;
-    sms.sms.pht.entries = 4096;
-    auto rs = runSystem(t, sms);
+    std::unique_ptr<driver::PrefetcherDeployment> sms;
+    auto rs = runSys(t, base,
+                     driver::registryAttach("sms", sms,
+                                            {{"pht-entries", "4096"}}));
 
     EXPECT_GT(rs.l1Covered, 0u);
     EXPECT_GT(rs.l2Covered, 0u);
@@ -209,8 +232,8 @@ TEST(SystemStudy, GhbCoversStridedStream)
     cfg.sys.ncpu = 1;
     cfg.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
     cfg.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
-    cfg.pf = PfKind::Ghb;
-    auto r = runSystem(t, cfg);
+    std::unique_ptr<driver::PrefetcherDeployment> ghb;
+    auto r = runSys(t, cfg, driver::registryAttach("ghb", ghb));
     EXPECT_GT(r.l2Covered, 10000u);
 }
 
@@ -222,7 +245,7 @@ TEST(SystemStudy, DensityHistogramsSumToLevelMisses)
     cfg.sys.l1 = {16 * 1024, 2, 64, mem::ReplKind::LRU};
     cfg.sys.l2 = {128 * 1024, 8, 64, mem::ReplKind::LRU};
     cfg.trackDensity = true;
-    auto r = runSystem(t, cfg);
+    auto r = runSys(t, cfg);
     uint64_t l1_total = 0, l2_total = 0;
     for (size_t b = 0; b < kDensityBuckets; ++b) {
         l1_total += r.l1Density[b];
@@ -290,74 +313,8 @@ TEST(Suite, TraceCacheReturnsSameObject)
     workloads::WorkloadParams p;
     p.ncpu = 2;
     p.refsPerCpu = 2000;
-    const trace::Trace &a = cache.get("sparse", p);
-    const trace::Trace &b = cache.get("sparse", p);
+    const trace::StreamSet &a = cache.viewSet("sparse", p);
+    const trace::StreamSet &b = cache.viewSet("sparse", p);
     EXPECT_EQ(&a, &b);
-    EXPECT_EQ(a.size(), 4000u);
-}
-
-// ---------------------------------------------------------------------
-// zero-copy stream-view equivalence
-// ---------------------------------------------------------------------
-
-namespace {
-
-void
-expectSameSystemResult(const SystemStudyResult &a,
-                       const SystemStudyResult &b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.l1ReadAccesses, b.l1ReadAccesses);
-    EXPECT_EQ(a.l1ReadMisses, b.l1ReadMisses);
-    EXPECT_EQ(a.l2ReadMisses, b.l2ReadMisses);
-    EXPECT_EQ(a.l1Misses, b.l1Misses);
-    EXPECT_EQ(a.l2Misses, b.l2Misses);
-    EXPECT_EQ(a.l1Covered, b.l1Covered);
-    EXPECT_EQ(a.l2Covered, b.l2Covered);
-    EXPECT_EQ(a.l1Overpred, b.l1Overpred);
-    EXPECT_EQ(a.l2Overpred, b.l2Overpred);
-    EXPECT_EQ(a.trueSharing, b.trueSharing);
-    EXPECT_EQ(a.falseSharing, b.falseSharing);
-    EXPECT_EQ(a.readCohMisses, b.readCohMisses);
-    EXPECT_EQ(a.memWritebacks, b.memWritebacks);
-    EXPECT_EQ(a.oracleL1Gens, b.oracleL1Gens);
-    EXPECT_EQ(a.oracleL2Gens, b.oracleL2Gens);
-    EXPECT_EQ(a.l1Density, b.l1Density);
-    EXPECT_EQ(a.l2Density, b.l2Density);
-}
-
-} // anonymous namespace
-
-TEST(SystemStudy, StreamViewMatchesMergedTraceByteForByte)
-{
-    // the zero-copy overload must reproduce the merged-trace pipeline
-    // exactly, with every tracker (oracle, density, SMS) engaged
-    workloads::WorkloadParams p;
-    p.ncpu = 4;
-    p.refsPerCpu = 4000;
-    p.seed = 11;
-
-    for (const char *name : {"sparse", "graph", "OLTP-DB2"}) {
-        auto w = workloads::findWorkload(name)->make();
-        auto streams = w->generateStreams(p);
-        trace::Trace merged =
-            trace::Interleaver(1, 16, p.seed * 977 + 13).merge(streams);
-
-        SystemStudyConfig cfg;
-        cfg.sys.ncpu = p.ncpu;
-        cfg.pf = PfKind::Sms;
-        cfg.oracleRegionSizes = {512, 2048};
-        cfg.trackDensity = true;
-
-        auto viaTrace = runSystem(merged, cfg);
-        std::unique_ptr<core::SmsController> sms;
-        auto viaView = runSystem(
-            streams, cfg, p.seed,
-            [&](mem::MemorySystem &sys) -> AttachedPrefetcher * {
-                sms = std::make_unique<core::SmsController>(sys,
-                                                            cfg.sms);
-                return nullptr;
-            });
-        expectSameSystemResult(viaTrace, viaView);
-    }
+    EXPECT_EQ(a.totalRefs(), 4000u);
 }

@@ -9,8 +9,10 @@
 #include "trace/interleaver.hh"
 #include "trace/io.hh"
 #include "trace/stats.hh"
+#include "stream_helpers.hh"
 
 using namespace stems::trace;
+using stems::test::mapTrace;
 
 namespace {
 
@@ -140,7 +142,7 @@ TEST(TraceIo, RoundTrip)
     std::string path = ::testing::TempDir() + "/stems_trace_test.bin";
     ASSERT_TRUE(writeTrace(t, path));
     Trace back;
-    ASSERT_TRUE(readTrace(path, back));
+    ASSERT_TRUE(mapTrace(path, back));
     ASSERT_EQ(back.size(), t.size());
     for (size_t i = 0; i < t.size(); ++i)
         EXPECT_TRUE(t[i] == back[i]) << "record " << i;
@@ -150,7 +152,7 @@ TEST(TraceIo, RoundTrip)
 TEST(TraceIo, RejectsMissingFile)
 {
     Trace out;
-    EXPECT_FALSE(readTrace("/nonexistent/definitely/not.bin", out));
+    EXPECT_FALSE(mapTrace("/nonexistent/definitely/not.bin", out));
 }
 
 TEST(TraceIo, RejectsCorruptMagic)
@@ -161,20 +163,19 @@ TEST(TraceIo, RejectsCorruptMagic)
     std::fwrite("NOPE", 1, 4, f);
     std::fclose(f);
     Trace out;
-    EXPECT_FALSE(readTrace(path, out));
+    EXPECT_FALSE(mapTrace(path, out));
     std::remove(path.c_str());
 }
 
 TEST(TraceIo, RejectsTruncatedRecords)
 {
-    // the mmap read path must apply the same count-vs-size validation
-    // as the buffered one: chop the last record short and the file is
-    // rejected whole
+    // the count-vs-size validation: chop the last record short and the
+    // file is rejected whole
     Trace t = streamOf(1, 50, 0x9000);
     std::string path = ::testing::TempDir() + "/stems_truncated.bin";
     ASSERT_TRUE(writeTrace(t, path, 0x5eed));
     Trace ok;
-    ASSERT_TRUE(readTrace(path, ok, 0x5eed));
+    ASSERT_TRUE(mapTrace(path, ok, 0x5eed));
     ASSERT_EQ(ok.size(), t.size());
 
     FILE *f = std::fopen(path.c_str(), "rb");
@@ -185,7 +186,7 @@ TEST(TraceIo, RejectsTruncatedRecords)
     ASSERT_EQ(::truncate(path.c_str(), full - 5), 0);
 
     Trace out;
-    EXPECT_FALSE(readTrace(path, out));
+    EXPECT_FALSE(mapTrace(path, out));
     std::remove(path.c_str());
 }
 
@@ -199,7 +200,7 @@ TEST(TraceIo, RejectsFlippedPayloadByteViaChecksum)
     std::string path = ::testing::TempDir() + "/stems_bitflip.bin";
     ASSERT_TRUE(writeTrace(t, path, 0x5eed));
     Trace ok;
-    ASSERT_TRUE(readTrace(path, ok, 0x5eed));
+    ASSERT_TRUE(mapTrace(path, ok, 0x5eed));
 
     FILE *f = std::fopen(path.c_str(), "r+b");
     ASSERT_NE(f, nullptr);
@@ -215,7 +216,7 @@ TEST(TraceIo, RejectsFlippedPayloadByteViaChecksum)
     std::fclose(f);
 
     Trace out;
-    EXPECT_FALSE(readTrace(path, out, 0x5eed));
+    EXPECT_FALSE(mapTrace(path, out, 0x5eed));
     std::remove(path.c_str());
 }
 
@@ -242,9 +243,9 @@ TEST(TraceIo, RejectsWrongGeneratorHashViaMappedPath)
     std::string path = ::testing::TempDir() + "/stems_hash_check.bin";
     ASSERT_TRUE(writeTrace(t, path, 0xAB));
     Trace out;
-    EXPECT_FALSE(readTrace(path, out, 0xCD));  // wrong hash
-    EXPECT_TRUE(readTrace(path, out, 0xAB));   // right hash
-    EXPECT_TRUE(readTrace(path, out));         // hash check disabled
+    EXPECT_FALSE(mapTrace(path, out, 0xCD));  // wrong hash
+    EXPECT_TRUE(mapTrace(path, out, 0xAB));   // right hash
+    EXPECT_TRUE(mapTrace(path, out));         // hash check disabled
     ASSERT_EQ(out.size(), t.size());
     for (size_t i = 0; i < t.size(); ++i)
         EXPECT_TRUE(t[i] == out[i]) << "record " << i;
@@ -256,8 +257,8 @@ TEST(TraceIo, EmptyTraceRoundTripsThroughMappedPath)
     Trace t;
     std::string path = ::testing::TempDir() + "/stems_empty.bin";
     ASSERT_TRUE(writeTrace(t, path));
-    Trace out = streamOf(1, 5, 0x100);  // must be cleared by read
-    ASSERT_TRUE(readTrace(path, out));
+    Trace out = streamOf(1, 5, 0x100);  // must be replaced by the map
+    ASSERT_TRUE(mapTrace(path, out));
     EXPECT_TRUE(out.empty());
     std::remove(path.c_str());
 }
@@ -268,7 +269,7 @@ TEST(TraceIo, EmptyTraceRoundTripsThroughMappedPath)
 
 namespace {
 
-/** Drain a view into a trace for comparison with merge(). */
+/** Drain a view access by access for comparison with merge(). */
 Trace
 drain(InterleavedView v)
 {
@@ -279,12 +280,25 @@ drain(InterleavedView v)
     return out;
 }
 
+/**
+ * Drain a view span by span through forEach — the drive loop of every
+ * study and the timing model — with the cpu field restamped.
+ */
+Trace
+drainSpans(InterleavedView v)
+{
+    Trace out;
+    v.forEach([&out](const MemAccess &a) { out.push_back(a); });
+    return out;
+}
+
 } // anonymous namespace
 
 TEST(InterleavedView, MatchesMergeExactly)
 {
     // equivalence across stream shapes, chunk ranges and seeds: the
-    // view must reproduce the materialised merge byte for byte
+    // view, drained access by access and span by span, must reproduce
+    // the materialised merge byte for byte
     const std::vector<std::vector<Trace>> shapes = {
         {streamOf(0, 100, 0), streamOf(1, 50, 1 << 20)},
         {streamOf(0, 1, 0), streamOf(1, 500, 1 << 20),
@@ -300,12 +314,14 @@ TEST(InterleavedView, MatchesMergeExactly)
             for (uint64_t seed : {1ULL, 42ULL, 990ULL}) {
                 Interleaver il(lo, hi, seed);
                 Trace merged = il.merge(streams);
-                Trace viewed = drain(il.view(streams));
-                ASSERT_EQ(merged.size(), viewed.size());
-                for (size_t i = 0; i < merged.size(); ++i)
-                    ASSERT_TRUE(merged[i] == viewed[i])
-                        << "diverged at " << i << " (seed " << seed
-                        << ", chunks " << lo << ".." << hi << ")";
+                for (const Trace &viewed : {drain(il.view(streams)),
+                                            drainSpans(il.view(streams))}) {
+                    ASSERT_EQ(merged.size(), viewed.size());
+                    for (size_t i = 0; i < merged.size(); ++i)
+                        ASSERT_TRUE(merged[i] == viewed[i])
+                            << "diverged at " << i << " (seed " << seed
+                            << ", chunks " << lo << ".." << hi << ")";
+                }
             }
         }
     }

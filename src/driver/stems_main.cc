@@ -7,9 +7,7 @@
  *                               (--dispatch=N farms cells to worker
  *                               processes)
  *   stems list                  registered workloads and prefetchers
- *   stems trace [key=value ...] record one workload trace to disk
- *   stems bench [key=value ...] measure the hot paths, emit
- *                               BENCH_engine.json
+ *   stems trace [key=value ...] record one workload's trace spill
  *   stems merge [json=OUT] A B  merge run reports by cell id
  *   stems worker                dispatch worker mode (internal)
  *   stems help                  usage
@@ -32,7 +30,6 @@
 #include "dispatch/merge.hh"
 #include "dispatch/worker.hh"
 #include "driver/analyze.hh"
-#include "driver/bench.hh"
 #include "driver/costmodel.hh"
 #include "driver/metrics.hh"
 #include "driver/report.hh"
@@ -65,10 +62,10 @@ usage()
         "                               isolated worker processes)\n"
         "  stems list                   show workloads and prefetchers\n"
         "  stems trace workload=W out=FILE [ncpu= refs= seed=]\n"
-        "                               record one trace to disk\n"
-        "  stems bench [--quick] [workload= ncpu= refs= seed=\n"
-        "              repeats= json=]  measure per-reference hot-path\n"
-        "                               cost, emit BENCH_engine.json\n"
+        "                               record one workload's per-CPU\n"
+        "                               trace spill; saved as\n"
+        "                               DIR/W_NCPU_REFS_SEED.stmt it\n"
+        "                               replays under trace-dir=DIR\n"
         "  stems merge [json=OUT] A.json B.json ...\n"
         "                               merge run reports by cell id\n"
         "  stems analyze [trace=F] [telemetry=F] [format=table|json]\n"
@@ -187,80 +184,20 @@ cmdTrace(const std::vector<std::string> &args)
     p.seed = optU64(opts, "seed", p.seed);
 
     auto w = entry->make();
-    trace::Trace t = workloads::makeTrace(*w, p);
-    // embed the generator fingerprint so engine replay rejects the
-    // file once generators change behaviour
-    if (!trace::writeTrace(t, out,
-                           study::generatorConfigHash(workload, p))) {
+    const std::vector<trace::Trace> streams = w->generateStreams(p);
+    // the spill TraceCache records: one section per CPU under the
+    // generator fingerprint, so a trace-dir= run replays the file when
+    // it carries the key name <workload>_<ncpu>_<refs>_<seed>.stmt,
+    // and rejects it once generators change behaviour
+    if (!trace::writeTraceStreams(
+            streams, out, study::generatorConfigHash(workload, p))) {
         std::cerr << "stems trace: cannot write " << out << "\n";
         return 1;
     }
-    std::cout << "wrote " << t.size() << " references to " << out
-              << "\n";
-    return 0;
-}
-
-int
-cmdBench(const std::vector<std::string> &args)
-{
-    BenchOptions opt;
-    Options kvs;
-    for (const auto &tok : args) {
-        if (tok == "--quick" || tok == "quick") {
-            opt.quick = true;
-            continue;
-        }
-        auto [k, v] = parseKeyValue(tok);
-        if (k != "workload" && k != "ncpu" && k != "refs" &&
-            k != "seed" && k != "repeats" && k != "json" &&
-            k != "quick") {
-            std::cerr << "stems bench: unknown key \"" << k
-                      << "\" (expected workload, ncpu, refs, seed, "
-                         "repeats, json, quick)\n";
-            return 2;
-        }
-        kvs[k] = v;
-    }
-    opt.quick = optBool(kvs, "quick", opt.quick);
-    if (opt.quick) {
-        // CI preset: small but representative, a few seconds total
-        opt.ncpu = 4;
-        opt.refsPerCpu = 20000;
-        opt.repeats = 2;
-    }
-    opt.workload = optStr(kvs, "workload", opt.workload);
-    opt.ncpu = optU32(kvs, "ncpu", opt.ncpu);
-    if (opt.ncpu == 0) {
-        std::cerr << "stems bench: ncpu must be positive\n";
-        return 2;
-    }
-    opt.refsPerCpu = optU64(kvs, "refs", opt.refsPerCpu);
-    opt.seed = optU64(kvs, "seed", opt.seed);
-    opt.repeats = optU32(kvs, "repeats", opt.repeats);
-    if (opt.repeats == 0)
-        opt.repeats = 1;
-    opt.jsonPath = optStr(kvs, "json", opt.jsonPath);
-
-    std::cerr << "stems bench: " << opt.workload << ", " << opt.ncpu
-              << " cpus x " << opt.refsPerCpu << " refs, best of "
-              << opt.repeats << "\n";
-    auto results = runEngineBench(opt);
-    for (const auto &r : results) {
-        std::fprintf(stderr,
-                     "stems bench: %-10s %-18s %8.1f ms  %7.1f ns/ref"
-                     "  %.2fM refs/s\n",
-                     r.workload.c_str(), r.name.c_str(), r.wallMs,
-                     r.nsPerRef, r.refsPerSec / 1e6);
-    }
-    const ObsOverhead obs = runObsOverheadBench(opt);
-    std::fprintf(stderr,
-                 "stems bench: obs overhead: %u cells, %.1f ms plain, "
-                 "%.1f ms observed (%+.1f%%)\n",
-                 obs.cells, obs.plainMs, obs.observedMs,
-                 obs.overheadPct);
-    writeReport(opt.jsonPath, benchToJson(opt, results, &obs));
-    if (opt.jsonPath != "-")
-        std::cerr << "stems bench: wrote " << opt.jsonPath << "\n";
+    uint64_t refs = 0;
+    for (const auto &t : streams)
+        refs += t.size();
+    std::cout << "wrote " << refs << " references to " << out << "\n";
     return 0;
 }
 
@@ -473,8 +410,6 @@ main(int argc, char **argv)
             return cmdList();
         if (cmd == "trace")
             return cmdTrace(args);
-        if (cmd == "bench")
-            return cmdBench(args);
         if (cmd == "merge")
             return cmdMerge(args);
         if (cmd == "analyze")

@@ -136,8 +136,10 @@ TraceCache::viewSetImpl(const std::string &name,
                 return;
             // concurrent generators (dispatch workers sharing the
             // spill dir) serialize here so each trace is generated
-            // exactly once: the lock winner records, the losers wake
-            // up and replay
+            // once: the lock winner records, the losers wake up and
+            // replay. The guard unlinks the lock file while it still
+            // holds it, after the spill is committed, so the dir keeps
+            // only .stmt files
             trace::FileLock lock(file + ".lock");
             if (lock.held() && tryReplay())
                 return;

@@ -118,17 +118,15 @@ loadField(const unsigned char *p)
 
 /**
  * Stream one section's records through the checksum fold and out to
- * @p f, with the cpu field optionally rewritten to @p stream_index.
+ * @p f, with the cpu field rewritten to @p stream_index.
  */
 bool
 writeSection(FILE *f, const Trace &t, uint32_t stream_index,
-             bool rewrite_cpu, uint64_t &checksum)
+             uint64_t &checksum)
 {
     for (const auto &a : t) {
-        PackedAccess p{a.pc, a.addr,
-                       rewrite_cpu ? stream_index : a.cpu,
-                       a.ninst, a.dep, a.size,
-                       static_cast<uint8_t>(a.isWrite),
+        PackedAccess p{a.pc, a.addr, stream_index, a.ninst, a.dep,
+                       a.size, static_cast<uint8_t>(a.isWrite),
                        static_cast<uint8_t>(a.isKernel)};
         checksum = traceChecksum(
             reinterpret_cast<const unsigned char *>(&p), sizeof(p),
@@ -137,39 +135,6 @@ writeSection(FILE *f, const Trace &t, uint32_t stream_index,
             return false;
     }
     return true;
-}
-
-bool
-writeSections(const std::vector<const Trace *> &streams,
-              const std::string &path, uint64_t config_hash,
-              bool rewrite_cpu)
-{
-    // chaos hook: model a full disk before any bytes land
-    if (fault::spillFault(fault::Kind::Enospc, path))
-        return false;
-    const std::string tmp = tempName(path);
-    bool ok = false;
-    {
-        FilePtr f(std::fopen(tmp.c_str(), "wb"));
-        if (!f)
-            return false;
-
-        std::vector<uint64_t> counts;
-        counts.reserve(streams.size());
-        for (const Trace *t : streams)
-            counts.push_back(t->size());
-        ok = writeHeader(f.get(), config_hash, counts);
-
-        uint64_t checksum = traceChecksum(nullptr, 0);
-        for (size_t i = 0; ok && i < streams.size(); ++i)
-            ok = writeSection(f.get(), *streams[i],
-                              static_cast<uint32_t>(i), rewrite_cpu,
-                              checksum);
-        ok = ok && patchChecksum(f.get(), checksum);
-    }
-    return commitOrDiscard(
-        tmp, path, ok,
-        tracePayloadOffset(static_cast<uint32_t>(streams.size())));
 }
 
 } // anonymous namespace
@@ -228,21 +193,34 @@ parseTraceHeader(const unsigned char *data, size_t size,
 }
 
 bool
-writeTrace(const Trace &t, const std::string &path, uint64_t config_hash)
-{
-    // single-section file, records verbatim (exact round trip)
-    return writeSections({&t}, path, config_hash, false);
-}
-
-bool
 writeTraceStreams(const std::vector<Trace> &streams,
                   const std::string &path, uint64_t config_hash)
 {
-    std::vector<const Trace *> ptrs;
-    ptrs.reserve(streams.size());
-    for (const auto &t : streams)
-        ptrs.push_back(&t);
-    return writeSections(ptrs, path, config_hash, true);
+    // chaos hook: model a full disk before any bytes land
+    if (fault::spillFault(fault::Kind::Enospc, path))
+        return false;
+    const std::string tmp = tempName(path);
+    bool ok = false;
+    {
+        FilePtr f(std::fopen(tmp.c_str(), "wb"));
+        if (!f)
+            return false;
+
+        std::vector<uint64_t> counts;
+        counts.reserve(streams.size());
+        for (const Trace &t : streams)
+            counts.push_back(t.size());
+        ok = writeHeader(f.get(), config_hash, counts);
+
+        uint64_t checksum = traceChecksum(nullptr, 0);
+        for (size_t i = 0; ok && i < streams.size(); ++i)
+            ok = writeSection(f.get(), streams[i],
+                              static_cast<uint32_t>(i), checksum);
+        ok = ok && patchChecksum(f.get(), checksum);
+    }
+    return commitOrDiscard(
+        tmp, path, ok,
+        tracePayloadOffset(static_cast<uint32_t>(streams.size())));
 }
 
 } // namespace stems::trace

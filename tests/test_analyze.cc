@@ -82,8 +82,9 @@ TEST(DriverCostSchedule, LptPutsHeavierEnginesFirst)
         EXPECT_FALSE(seen[i]);
         seen[i] = 1;
         const double c = model.estimate(cells[i]);
-        if (prev >= 0)
+        if (prev >= 0) {
             EXPECT_LE(c, prev);  // non-increasing cost
+        }
         prev = c;
     }
     EXPECT_EQ(cells[order.front()].engine.kind, "sms");

@@ -9,15 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <unistd.h>
 
+#include "dispatch/coordinator.hh"
 #include "dispatch/json.hh"
 #include "dispatch/wire.hh"
 #include "driver/report.hh"
 #include "driver/runner.hh"
 #include "driver/spec.hh"
+#include "obs/counters.hh"
 #include "sim/timing.hh"
 #include "stream_helpers.hh"
 #include "study/l1study.hh"
@@ -354,14 +358,15 @@ TEST(Runner, TraceRecordThenReplayMatchesLiveStats)
     tokens.push_back("trace-dir=" + dir);
     auto recorded = Runner(parseSpec(tokens)).run();  // generates + writes
 
-    // the spill directory now holds one .stmt per workload (plus the
-    // generation .lock files guarding concurrent generators)
+    // the spill directory now holds one .stmt per workload and nothing
+    // else: the generation lock guarding concurrent generators removes
+    // its file once the spill is committed
     size_t files = 0;
     for (const auto &e : std::filesystem::directory_iterator(dir)) {
         if (e.path().extension() == ".stmt")
             ++files;
         else
-            EXPECT_EQ(e.path().extension(), ".lock");
+            ADD_FAILURE() << "not a spill: " << e.path();
     }
     EXPECT_EQ(files, 2u);
 
@@ -469,7 +474,7 @@ TEST(TraceIo, RejectsCorruptCountInsteadOfThrowing)
     const std::string dir = tempDir("io");
     const std::string path = dir + "/bad.stmt";
     trace::Trace t(16);
-    ASSERT_TRUE(trace::writeTrace(t, path));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
     {
         // corrupt the count field (magic + version + hash = 16 bytes)
         std::fstream f(path,
@@ -488,7 +493,7 @@ TEST(TraceIo, RejectsOldFormatVersion)
     const std::string dir = tempDir("iov");
     const std::string path = dir + "/old.stmt";
     trace::Trace t(4);
-    ASSERT_TRUE(trace::writeTrace(t, path));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
     {
         // rewrite the version field (bytes 4..7) to format v1
         std::fstream f(path,
@@ -507,7 +512,7 @@ TEST(TraceIo, RejectsGeneratorConfigHashMismatch)
     const std::string dir = tempDir("ioh");
     const std::string path = dir + "/t.stmt";
     trace::Trace t(4);
-    ASSERT_TRUE(trace::writeTrace(t, path, 0xabcdef));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path, 0xabcdef));
 
     trace::Trace out;
     EXPECT_TRUE(test::mapTrace(path, out, 0xabcdef));  // matching
@@ -529,7 +534,8 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
     const trace::Trace live =
         test::interleave(writer.viewSet("graph", p), p.seed);
 
-    // sabotage the spill: same shape, wrong generator fingerprint
+    // sabotage the spill: same per-CPU shape, wrong generator
+    // fingerprint, so the hash alone makes replay reject it
     std::string file;
     for (const auto &e : std::filesystem::directory_iterator(dir))
         if (e.path().extension() == ".stmt")
@@ -537,7 +543,14 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
     ASSERT_FALSE(file.empty());
     trace::Trace doctored = live;
     doctored[0].addr ^= 0xff00;  // stale content a silent replay keeps
-    ASSERT_TRUE(trace::writeTrace(doctored, file, 0xdeadbeef));
+    ASSERT_TRUE(trace::writeTraceStreams(test::splitByCpu(doctored, p.ncpu),
+                                         file, 0xdeadbeef));
+    {
+        // the doctored spill is well-formed: only its hash is wrong
+        auto m = trace::MappedTrace::open(file);
+        ASSERT_NE(m, nullptr);
+        ASSERT_EQ(m->numStreams(), p.ncpu);
+    }
 
     // a fresh cache must reject the stale file and regenerate
     study::TraceCache reader;
@@ -555,6 +568,50 @@ TEST(TraceCache, RejectsStaleSpillAndRegenerates)
     const trace::Trace replay =
         test::interleave(trace::StreamSet::mapped(m), p.seed);
     EXPECT_TRUE(live == replay);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, ReplaysStemsTraceExportUnderItsKeyName)
+{
+    // `stems trace` writes the spill form the TraceCache records, so
+    // an export saved as <workload>_<ncpu>_<refs>_<seed>.stmt in a
+    // trace-dir is replayed as is, never rejected and rewritten
+    const std::string dir = tempDir("export");
+    const std::string file = dir + "/sparse_4_3000_7.stmt";
+    const std::string bin =
+        (std::filesystem::path(dispatch::selfExePath()).parent_path() /
+         "stems")
+            .string();
+    ASSERT_EQ(std::system((bin + " trace workload=sparse out=" + file +
+                           " ncpu=4 refs=3000 seed=7 > /dev/null")
+                              .c_str()),
+              0);
+    auto slurp = [&file] {
+        std::ifstream f(file, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(f), {});
+    };
+    const std::string exported = slurp();
+    ASSERT_FALSE(exported.empty());
+
+    const std::vector<std::string> tokens{
+        "workloads=sparse", "prefetchers=sms", "ncpu=4", "refs=3000",
+        "seed=7"};
+    const auto live = Runner(parseSpec(tokens)).run();
+    auto spilled = tokens;
+    spilled.push_back("trace-dir=" + dir);
+    obs::Counters::get().reset();
+    const auto replayed = Runner(parseSpec(spilled)).run();
+    uint64_t replays = 0;
+    for (const auto &[name, v] : obs::snapshotCounters())
+        if (name == "trace_spill_replays")
+            replays = v;
+    obs::Counters::get().reset();
+
+    EXPECT_GE(replays, 1u);
+    EXPECT_TRUE(slurp() == exported) << "the export was rewritten";
+    ASSERT_EQ(live.size(), replayed.size());
+    for (size_t i = 0; i < live.size(); ++i)
+        expectSameMetrics(live[i].metrics, replayed[i].metrics);
     std::filesystem::remove_all(dir);
 }
 

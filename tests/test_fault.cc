@@ -262,7 +262,7 @@ TEST(FaultSpill, EnospcFailsTheWrite)
     const std::string path =
         ::testing::TempDir() + "/stems_fault_enospc.stmt";
     trace::Trace t = smallTrace(32);
-    EXPECT_FALSE(trace::writeTrace(t, path));
+    EXPECT_FALSE(trace::writeTraceStreams({t}, path));
     std::remove(path.c_str());
 }
 
@@ -275,7 +275,7 @@ TEST(FaultSpill, CorruptSpillIsCaughtByTheChecksum)
     trace::Trace t = smallTrace(64);
     // the write itself succeeds — corruption happens post-commit,
     // modelling bit rot / a torn device write
-    ASSERT_TRUE(trace::writeTrace(t, path));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
     trace::Trace out;
     EXPECT_FALSE(test::mapTrace(path, out))
         << "corrupted spill must be rejected, not replayed";
@@ -290,7 +290,7 @@ TEST(FaultSpill, ProbabilityZeroNeverFires)
     const std::string path =
         ::testing::TempDir() + "/stems_fault_p0.stmt";
     trace::Trace t = smallTrace(16);
-    ASSERT_TRUE(trace::writeTrace(t, path));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
     trace::Trace out;
     EXPECT_TRUE(test::mapTrace(path, out));
     EXPECT_EQ(out.size(), t.size());
@@ -304,7 +304,7 @@ TEST(FaultSpill, InactivePlanLeavesSpillsAlone)
     const std::string path =
         ::testing::TempDir() + "/stems_fault_off.stmt";
     trace::Trace t = smallTrace(16);
-    ASSERT_TRUE(trace::writeTrace(t, path));
+    ASSERT_TRUE(trace::writeTraceStreams({t}, path));
     trace::Trace out;
     EXPECT_TRUE(test::mapTrace(path, out));
     std::remove(path.c_str());

@@ -254,12 +254,14 @@ TEST(Ghb, SeparatePcChainsDoNotInterfere)
     for (int i = 0; i < 8; ++i) {
         out.clear();
         ghb.observe(miss(0x1, 0x100000 + uint64_t(i) * 128), out);
-        if (i >= 3)
+        if (i >= 3) {
             EXPECT_FALSE(out.empty()) << "pc1 stride undetected";
+        }
         out.clear();
         ghb.observe(miss(0x2, 0x900000 + uint64_t(i) * 512), out);
-        if (i >= 3)
+        if (i >= 3) {
             EXPECT_FALSE(out.empty()) << "pc2 stride undetected";
+        }
     }
 }
 
@@ -370,7 +372,8 @@ TEST(Ghb, MatchesReferenceWalk)
                         EXPECT_EQ(a.correlations, b.correlations);
                         EXPECT_EQ(a.issued, b.issued);
                         // the patterned streams exercise the match
-                        if (maxWalk >= 5 && k != 0)
+                        if (maxWalk >= 5 && k != 0) {
                             EXPECT_GT(b.correlations, 0u);
+                        }
                     }
 }

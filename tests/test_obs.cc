@@ -193,10 +193,12 @@ TEST(ObsSpan, ThreadsGetDistinctTagsAndNames)
     EXPECT_TRUE(sawWorkerName);
 
     for (const auto &e : events) {
-        if (e.name == "on-main")
+        if (e.name == "on-main") {
             EXPECT_EQ(e.tid, mainTid);
-        if (e.name == "on-thread")
+        }
+        if (e.name == "on-thread") {
             EXPECT_EQ(e.tid, otherTid);
+        }
     }
 }
 
@@ -232,10 +234,12 @@ TEST(ObsTrace, ChromeJsonParsesAndNormalizes)
         EXPECT_GE(ts, 0.0);
         EXPECT_GE(e.at("pid").asU64(), 1u);
         EXPECT_GE(e.at("tid").asU64(), 1u);
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_GE(e.at("dur").asDouble(), 0.0);
-        if (ph == "i")
+        }
+        if (ph == "i") {
             EXPECT_EQ(e.at("s").asString(), "p");
+        }
     }
     EXPECT_EQ(minTs, 0.0);
 

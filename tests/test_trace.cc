@@ -13,6 +13,7 @@
 
 using namespace stems::trace;
 using stems::test::mapTrace;
+using stems::test::splitByCpu;
 
 namespace {
 
@@ -139,8 +140,9 @@ TEST(TraceIo, RoundTrip)
     t[9].isKernel = true;
     t[11].dep = 4;
 
+    // CPU 3's records land in section 3, so their cpu field survives
     std::string path = ::testing::TempDir() + "/stems_trace_test.bin";
-    ASSERT_TRUE(writeTrace(t, path));
+    ASSERT_TRUE(writeTraceStreams(splitByCpu(t, 4), path));
     Trace back;
     ASSERT_TRUE(mapTrace(path, back));
     ASSERT_EQ(back.size(), t.size());
@@ -173,7 +175,7 @@ TEST(TraceIo, RejectsTruncatedRecords)
     // file is rejected whole
     Trace t = streamOf(1, 50, 0x9000);
     std::string path = ::testing::TempDir() + "/stems_truncated.bin";
-    ASSERT_TRUE(writeTrace(t, path, 0x5eed));
+    ASSERT_TRUE(writeTraceStreams(splitByCpu(t, 2), path, 0x5eed));
     Trace ok;
     ASSERT_TRUE(mapTrace(path, ok, 0x5eed));
     ASSERT_EQ(ok.size(), t.size());
@@ -198,7 +200,7 @@ TEST(TraceIo, RejectsFlippedPayloadByteViaChecksum)
     // right magic, version, hash and count
     Trace t = streamOf(1, 80, 0x4000);
     std::string path = ::testing::TempDir() + "/stems_bitflip.bin";
-    ASSERT_TRUE(writeTrace(t, path, 0x5eed));
+    ASSERT_TRUE(writeTraceStreams(splitByCpu(t, 2), path, 0x5eed));
     Trace ok;
     ASSERT_TRUE(mapTrace(path, ok, 0x5eed));
 
@@ -241,7 +243,7 @@ TEST(TraceIo, RejectsWrongGeneratorHashViaMappedPath)
 {
     Trace t = streamOf(2, 40, 0x2000);
     std::string path = ::testing::TempDir() + "/stems_hash_check.bin";
-    ASSERT_TRUE(writeTrace(t, path, 0xAB));
+    ASSERT_TRUE(writeTraceStreams(splitByCpu(t, 3), path, 0xAB));
     Trace out;
     EXPECT_FALSE(mapTrace(path, out, 0xCD));  // wrong hash
     EXPECT_TRUE(mapTrace(path, out, 0xAB));   // right hash
@@ -256,7 +258,7 @@ TEST(TraceIo, EmptyTraceRoundTripsThroughMappedPath)
 {
     Trace t;
     std::string path = ::testing::TempDir() + "/stems_empty.bin";
-    ASSERT_TRUE(writeTrace(t, path));
+    ASSERT_TRUE(writeTraceStreams({t}, path));
     Trace out = streamOf(1, 5, 0x100);  // must be replaced by the map
     ASSERT_TRUE(mapTrace(path, out));
     EXPECT_TRUE(out.empty());
